@@ -116,6 +116,10 @@ def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
                                seed=_child_seed(cfg.seed, 99), observed=data.raw)
     anchor = estimate_dual_anchor(imaginary)
 
+    if args.dump_chains and not (cfg.needs_chain
+                                 and any(f.has_lambda for f in cfg.families)):
+        log.warning("--dump-chains: no MH chains exist for methods %s and "
+                    "families %s; no chain files written", args.methods, args.families)
     chain_dir = out / "chains"
     tuned = {}
     reports = []
@@ -151,6 +155,7 @@ def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
         "dual_anchor": anchor.value,
         "dual_anchor_from_fallback": anchor.from_fallback,
         "tuned_proposal_variance": tuned,
+        "mh_skipped": not cfg.needs_chain,
         "mh_draws": cfg.mh.draws,
         "mh_burn_in": cfg.mh.burn_in,
         "chib_j": cfg.chib_draws,
@@ -184,23 +189,29 @@ def _cmd_sweep(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     points = tuple(float(p) for p in args.points.split(","))
-    sweep = SweepSpec(axis=args.axis.replace("-", "_"), points=points, n=args.n,
-                      prior_kind=_priors_for(args.prior)[0],
-                      replications=args.replications, seed=args.seed)
     cfg = _analysis_config(args)
+    if args.dump_chains:
+        log.warning("--dump-chains: sweep writes no chain files")
 
     path = out / "sweep.csv"
     done: list[dict] = []
+    failures: list[dict] = []
 
     def flush(point_rows):
         done.extend(point_rows)
         _write_csv(path, SWEEP_FIELDS, done)  # rewrite so interrupts keep finished points
 
-    run_sweep(sweep, cfg, on_point=flush)
+    for prior_kind in _priors_for(args.prior):
+        sweep = SweepSpec(axis=args.axis.replace("-", "_"), points=points, n=args.n,
+                          prior_kind=prior_kind, replications=args.replications,
+                          seed=args.seed)
+        run_sweep(sweep, cfg, on_point=flush, on_failure=failures.append)
     manifest = {"config": {"command": "sweep", "axis": sweep.axis,
                            "points": list(points), "n": args.n,
                            "replications": args.replications,
                            **_echo_common(args)},
+                "failures": failures,
+                "mh_skipped": not cfg.needs_chain,
                 "timestamp": _timestamp()}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     print(f"wrote sweep.csv to {out}")

@@ -1,6 +1,7 @@
 """Marginal-likelihood estimators and posterior model probabilities."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -8,7 +9,8 @@ import numpy as np
 
 from .errors import InconsistentEvidence, OrdinateUnderflow
 from .families import ALL_FAMILIES, Family
-from .likelihood import LikelihoodContext, PosteriorChain, log_posterior_kernel
+from .likelihood import (LikelihoodContext, PosteriorChain, log_sampling_kernel,
+                         refine_mode)
 from .quadrature import default_limits, default_window, log_integral
 
 CHIB = "chib"
@@ -34,32 +36,15 @@ def evidence_closed_form(ctx: LikelihoodContext) -> EvidenceEstimate:
                             include_constant=ctx.include_constant)
 
 
-def _sampling_kernel(ctx: LikelihoodContext, prior, on_log: bool):
-    """Log posterior kernel on the sampling scale used by the MH chain."""
-    def kern(x: float) -> float:
-        lam = math.exp(x) if on_log else x
-        val = log_posterior_kernel(ctx, prior, lam)
-        return val + x if on_log else val
-    return kern
-
-
-def _log_prior_sampling(prior, on_log: bool, x: float) -> float:
-    lam = math.exp(x) if on_log else x
-    val = prior.log_density(lam)
-    return val + x if on_log else val
-
-
 def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
                   J: int = 2000, seed: int = 0, n_batches: int = 50) -> EvidenceEstimate:
     """Candidate estimator: likelihood and prior at the mode minus the estimated
     posterior ordinate, with the ordinate built from the MH output."""
     if J < 500:
         raise ValueError("J must be at least 500")
-    on_log = chain.on_log_scale
-    kern = _sampling_kernel(ctx, prior, on_log)
     x_star = chain.mode
     k_var = chain.step_sd ** 2
-    log_k_star = kern(x_star)
+    log_k_star = log_sampling_kernel(ctx, prior, x_star)
 
     # Numerator: chain average of acceptance-probability-weighted proposal density.
     diff = np.minimum(0.0, log_k_star - chain.log_kernel)
@@ -71,7 +56,7 @@ def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
     # Denominator: fresh proposal draws centered at the mode.
     rng = np.random.default_rng(seed)
     xj = rng.normal(x_star, math.sqrt(k_var), size=J)
-    log_k_j = np.array([kern(float(x)) for x in xj])
+    log_k_j = log_sampling_kernel(ctx, prior, xj)
     den_terms = np.exp(np.minimum(0.0, log_k_j - log_k_star))
     den = float(den_terms.mean())
 
@@ -87,9 +72,7 @@ def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
     mc_se = math.sqrt((se_num / num) ** 2 + (se_den / den) ** 2)
 
     lam_star = chain.lambda_mode
-    log_marginal = (ctx.loglik(lam_star)
-                    + _log_prior_sampling(prior, on_log, x_star)
-                    - log_ordinate)
+    log_marginal = log_k_star - log_ordinate
     return EvidenceEstimate(
         log_marginal=log_marginal, method=CHIB, mc_se=mc_se,
         include_constant=ctx.include_constant,
@@ -100,13 +83,10 @@ def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
 def evidence_laplace_metropolis(ctx: LikelihoodContext, prior,
                                 chain: PosteriorChain) -> EvidenceEstimate:
     """Gaussian approximation around the chain mode, using the chain variance."""
-    on_log = chain.on_log_scale
     var = float(chain.draws.var(ddof=1))
-    x_star = chain.mode
     lam_star = chain.lambda_mode
     log_marginal = (0.5 * math.log(2.0 * math.pi) + 0.5 * math.log(var)
-                    + _log_prior_sampling(prior, on_log, x_star)
-                    + ctx.loglik(lam_star))
+                    + log_sampling_kernel(ctx, prior, chain.mode))
     return EvidenceEstimate(
         log_marginal=log_marginal, method=LAPLACE_METROPOLIS,
         include_constant=ctx.include_constant,
@@ -114,42 +94,46 @@ def evidence_laplace_metropolis(ctx: LikelihoodContext, prior,
 
 
 def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
-    """Direct numerical integration of likelihood times prior over lambda."""
-    positive = ctx.family is Family.DUAL
-    lo, hi = default_window(positive)
-    limits = default_limits(positive)
+    """Direct numerical integration of likelihood times prior over lambda.
 
-    if getattr(prior, "kind", None) == "A":
-        # Ratio form: joint integral with the discounted imaginary likelihood
-        # over the precomputed prior normalizer.
-        imaginary = prior.imaginary
-
-        def joint(lam: float) -> float:
-            return (ctx.loglik(lam)
-                    + imaginary.context(ctx.family).loglik(lam) * imaginary.alpha0)
-
-        num = log_integral(joint, lo, hi, limits=limits, boundary_lo=positive)
-        log_marginal = num - prior.log_norm_const
+    The integral runs on the sampling scale, log lambda for Dual, where the
+    posterior is smooth up to the lambda -> 0 boundary. The final grid holds
+    the posterior of lambda; its diagnostics give the posterior sd from the
+    trapezoid weights and the mode as run_mh defines a chain's: the kernel's
+    argmax on the sampling scale, refined.
+    """
+    on_log = ctx.family is Family.DUAL
+    to_x = math.log if on_log else float
+    limits = tuple(map(to_x, default_limits(on_log)))
+    if prior.kind == "A":
+        lo, hi = map(to_x, default_window(on_log))
     else:
-        def integrand(lam: float) -> float:
-            lp = prior.log_density(lam)
-            return -math.inf if lp == -math.inf else ctx.loglik(lam) + lp
+        # Start from the prior's own 10-sigma window (its location and scale
+        # are on the sampling scale) so that arbitrarily narrow priors are
+        # still resolved by the initial grid; expansion widens it whenever the
+        # likelihood pushes mass outside.
+        lo = max(prior.location - 10.0 * prior.scale, limits[0])
+        hi = min(prior.location + 10.0 * prior.scale, limits[1])
+    kernel = functools.partial(log_sampling_kernel, ctx, prior)
+    grid = log_integral(kernel, lo, hi, limits=limits, boundary_lo=on_log,
+                        full_output=True)
 
-        # Start from the prior's own 10-sigma window so that arbitrarily narrow
-        # priors are still resolved by the initial grid; expansion widens it
-        # whenever the likelihood pushes mass outside.
-        if prior.on_log_scale:
-            lo = math.exp(prior.location - 10.0 * prior.scale)
-            hi = math.exp(prior.location + 10.0 * prior.scale)
-        else:
-            lo = prior.location - 10.0 * prior.scale
-            hi = prior.location + 10.0 * prior.scale
-        lo, hi = max(lo, limits[0]), min(hi, limits[1])
-        log_marginal = log_integral(integrand, lo, hi, limits=limits,
-                                    boundary_lo=positive)
-
-    return EvidenceEstimate(log_marginal=log_marginal, method=QUADRATURE,
-                            include_constant=ctx.include_constant)
+    w = grid.weights()
+    lam = np.exp(grid.xs) if on_log else grid.xs
+    mean = float(w @ lam)
+    i = int(np.argmax(grid.log_vals))
+    best = float(grid.xs[i])
+    mode = refine_mode(kernel, best, kernel(best),
+                       (float(grid.xs[max(i - 1, 0)]),
+                        float(grid.xs[min(i + 1, grid.xs.size - 1)])))
+    return EvidenceEstimate(
+        log_marginal=grid.value, method=QUADRATURE,
+        include_constant=ctx.include_constant,
+        diagnostics={"window": [float(lam[0]), float(lam[-1])],
+                     "expansions": grid.expansions, "halvings": grid.halvings,
+                     "grid_points": int(grid.xs.size),
+                     "lambda_mode": math.exp(mode) if on_log else mode,
+                     "lambda_sd": math.sqrt(float(w @ (lam - mean) ** 2))})
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Marginalized likelihood of the untransformed data and posterior sampling for lambda."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -12,12 +13,32 @@ from .errors import DegenerateTransform, MixingFailure
 from .families import Family, PreparedData
 
 _BRANCH_TOL = 1e-10
+# Elements per block of a batched evaluation: 32768 // n lambdas at a time
+# keeps the (k, n) temporaries near 256 KB each, so peak memory does not grow
+# with the grid.
+_BLOCK_ELEMENTS = 32768
 
 
 def _log_constant(n: int) -> float:
     # Exact normalizer from integrating out location/scale under the 1/sigma^2 prior.
     return float(gammaln((n - 1) / 2.0) - (n - 1) / 2.0 * math.log(math.pi)
                  - 0.5 * math.log(n))
+
+
+def _exp_m1(t):
+    return np.exp(t) - 1.0
+
+
+def _ratio(f, log_x, lam):
+    """f(lam * log_x) / lam, or its limit log_x where |lam| < _BRANCH_TOL.
+
+    lam is a float, or a column of k values (shape (k, 1)) for which the
+    result has shape (k, n).
+    """
+    if not isinstance(lam, np.ndarray):
+        return log_x if abs(lam) < _BRANCH_TOL else f(lam * log_x) / lam
+    near = np.abs(lam) < _BRANCH_TOL
+    return np.where(near, log_x, f(lam * log_x) / np.where(near, 1.0, lam))
 
 
 class LikelihoodContext:
@@ -37,56 +58,51 @@ class LikelihoodContext:
         self.constant = _log_constant(self.n) if include_constant else 0.0
 
         if family.requires_shift:
-            v = data.shifted()
-            self._logv = np.log(v)
+            self._logv = np.log(data.shifted())
+            self._sum = float(self._logv.sum())
         else:
             y = data.standardized
             if family is Family.MODULUS:
                 self._sign = np.where(y >= 0.0, 1.0, -1.0)
                 self._logu = np.log(np.abs(y) + 1.0)
+                self._sum = float(self._logu.sum())
             elif family is Family.YEOJOHNSON:
                 pos = y >= 0.0
                 self._logu_pos = np.log(y[pos] + 1.0)
                 self._logu_neg = np.log(1.0 - y[~pos])
+                self._sum = float(self._logu_pos.sum()) - float(self._logu_neg.sum())
             else:
                 self._y = y
-        if family in (Family.ID, Family.LOG):
+        if not family.has_lambda:
             self._fixed = self._evaluate(0.0)
 
-    def _transform_and_jacobian(self, lam: float) -> tuple[np.ndarray, float]:
+    def _transform_and_jacobian(self, lam):
+        """(transformed data, log|J|) at lam, from the logs cached above.
+
+        Every formula broadcasts over lambda: a float gives data of shape (n,)
+        and a float log|J|; a column of k lambdas (shape (k, 1)) gives (k, n)
+        and k log|J| values. Yeo-Johnson lists the non-negative observations
+        first.
+        """
         fam = self.family
         if fam is Family.ID:
-            return self.data.standardized, 0.0
+            return self._y, 0.0
         if fam is Family.LOG:
-            return self._logv, float(-self._logv.sum())
+            return self._logv, -self._sum
         if fam is Family.BOXCOX:
-            lj = (lam - 1.0) * float(self._logv.sum())
-            if abs(lam) < _BRANCH_TOL:
-                return self._logv, lj
-            return (np.exp(lam * self._logv) - 1.0) / lam, lj
+            return _ratio(_exp_m1, self._logv, lam), (lam - 1.0) * self._sum
         if fam is Family.MODULUS:
-            lj = (lam - 1.0) * float(self._logu.sum())
-            if abs(lam) < _BRANCH_TOL:
-                return self._sign * self._logu, lj
-            return self._sign * (np.exp(lam * self._logu) - 1.0) / lam, lj
+            return (self._sign * _ratio(_exp_m1, self._logu, lam),
+                    (lam - 1.0) * self._sum)
         if fam is Family.YEOJOHNSON:
-            lj = (lam - 1.0) * (float(self._logu_pos.sum()) - float(self._logu_neg.sum()))
-            if abs(lam) < _BRANCH_TOL:
-                zp = self._logu_pos
-            else:
-                zp = (np.exp(lam * self._logu_pos) - 1.0) / lam
-            if abs(lam - 2.0) < _BRANCH_TOL:
-                zn = -self._logu_neg
-            else:
-                zn = -(np.exp((2.0 - lam) * self._logu_neg) - 1.0) / (2.0 - lam)
-            return np.concatenate([zp, zn]), lj
+            zp = _ratio(_exp_m1, self._logu_pos, lam)
+            zn = -_ratio(_exp_m1, self._logu_neg, 2.0 - lam)
+            return np.concatenate([zp, zn], axis=-1), (lam - 1.0) * self._sum
         if fam is Family.DUAL:
             logv = self._logv
-            lj = float((np.logaddexp((lam - 1.0) * logv, (-lam - 1.0) * logv)
-                        - math.log(2.0)).sum())
-            if abs(lam) < _BRANCH_TOL:
-                return logv, lj
-            return np.sinh(lam * logv) / lam, lj
+            lj = (np.logaddexp((lam - 1.0) * logv, (-lam - 1.0) * logv)
+                  - math.log(2.0)).sum(axis=-1)
+            return _ratio(np.sinh, logv, lam), lj
         raise AssertionError(fam)
 
     def _evaluate(self, lam: float) -> float:
@@ -98,7 +114,7 @@ class LikelihoodContext:
         if ss <= 0.0:
             raise DegenerateTransform(
                 f"transformed data have zero variance ({self.family.value}, lam={lam})")
-        return self.constant - (self.n - 1) / 2.0 * math.log(ss) + lj
+        return self.constant - (self.n - 1) / 2.0 * math.log(ss) + float(lj)
 
     def loglik(self, lam: float = 0.0) -> float:
         """log f(y | lambda, T); lambda is ignored for Id and Log."""
@@ -106,6 +122,35 @@ class LikelihoodContext:
             return self._fixed
         self.family.check_lambda(lam)
         return self._evaluate(lam)
+
+    def loglik_batch(self, lams: np.ndarray) -> np.ndarray:
+        """`loglik` at every lambda of a 1-D array, in blocks of k lambdas.
+
+        Where `loglik` raises DomainError, this gives -inf; it raises
+        DegenerateTransform as `loglik` does.
+        """
+        lams = np.asarray(lams, dtype=float)
+        if not self.family.has_lambda:
+            return np.full(lams.shape, self._fixed)
+        out = np.full(lams.shape, -np.inf)
+        lo, hi = self.family.lambda_domain
+        inside = np.flatnonzero((lo < lams) & (lams < hi))
+        k = max(1, _BLOCK_ELEMENTS // self.n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in range(0, inside.size, k):
+                idx = inside[start:start + k]
+                z, lj = self._transform_and_jacobian(lams[idx, None])
+                ss = np.sum((z - z.mean(axis=1, keepdims=True)) ** 2, axis=1)
+                lj = np.reshape(lj, -1)
+                ok = np.isfinite(ss) & np.isfinite(lj)
+                degenerate = ok & (ss <= 0.0)
+                if degenerate.any():
+                    raise DegenerateTransform(
+                        f"transformed data have zero variance ({self.family.value}, "
+                        f"lam={lams[idx[degenerate][0]]})")
+                out[idx[ok]] = (self.constant - (self.n - 1) / 2.0 * np.log(ss[ok])
+                                + lj[ok])
+        return out
 
 
 def log_marginalized_likelihood(ctx: LikelihoodContext, lam: float = 0.0) -> float:
@@ -118,6 +163,38 @@ def log_posterior_kernel(ctx: LikelihoodContext, prior, lam: float) -> float:
     if lp == -math.inf:
         return -math.inf
     return ctx.loglik(lam) + lp
+
+
+def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
+    """Log posterior kernel on the scale MH samples: lambda, or log lambda for
+    Dual, where it carries the +log(lambda) change-of-variable term.
+
+    x is a float, or a numpy array scored in one batched call; both give -inf
+    outside the family's domain.
+    """
+    on_log = ctx.family is Family.DUAL
+    if isinstance(x, np.ndarray):
+        lam = np.exp(x) if on_log else x
+        val = ctx.loglik_batch(lam) + prior.log_density(lam)
+    else:
+        lam = math.exp(x) if on_log else x
+        lo, hi = ctx.family.lambda_domain
+        if not (lo < lam < hi):
+            return -math.inf
+        val = log_posterior_kernel(ctx, prior, lam)
+    return val + x if on_log else val
+
+
+def refine_mode(kernel, best: float, best_kernel: float,
+                bounds: tuple[float, float]) -> float:
+    """Kernel argmax near `best`, a draw or grid point scoring `best_kernel`.
+
+    A bounded Brent search refines it; `best` is kept unless the search does
+    at least as well.
+    """
+    res = minimize_scalar(lambda v: -kernel(v), bounds=bounds, method="bounded",
+                          options={"xatol": 1e-8})
+    return float(res.x) if -res.fun >= best_kernel else best
 
 
 @dataclass
@@ -173,14 +250,7 @@ def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
     """
     family = ctx.family
     on_log = family is Family.DUAL
-
-    def kernel(x: float) -> float:
-        lam = math.exp(x) if on_log else x
-        dom = family.lambda_domain
-        if dom is not None and not (dom[0] < lam < dom[1]):
-            return -math.inf
-        val = log_posterior_kernel(ctx, prior, lam)
-        return val + x if on_log else val
+    kernel = functools.partial(log_sampling_kernel, ctx, prior)
 
     rng = np.random.default_rng(cfg.seed)
     x = math.log(1.2) if on_log else 1.0
@@ -219,10 +289,8 @@ def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
 
     step_sd = math.exp(log_step)
     best = float(draws[int(np.argmax(kernels))])
-    res = minimize_scalar(lambda v: -kernel(v), bounds=(best - 3 * step_sd,
-                                                        best + 3 * step_sd),
-                          method="bounded", options={"xatol": 1e-8})
-    mode = float(res.x) if -res.fun >= kernels.max() else best
+    mode = refine_mode(kernel, best, kernels.max(),
+                       (best - 3 * step_sd, best + 3 * step_sd))
 
     return PosteriorChain(family=family, on_log_scale=on_log, draws=draws,
                           log_kernel=kernels, accept_rate=accept_rate,

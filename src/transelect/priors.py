@@ -60,10 +60,16 @@ def make_imaginary(n_star: int = 100, source: str = "simulated",
     return ImaginaryData(prepared=prepare(values), source=source, seed=seed)
 
 
-def log_power_prior_kernel(family: Family, imaginary: ImaginaryData,
-                           lam: float) -> float:
-    """Unnormalized log power prior: the imaginary-data log likelihood discounted by 1/n*."""
-    return imaginary.context(family).loglik(lam) * imaginary.alpha0
+def log_power_prior_kernel(family: Family, imaginary: ImaginaryData, lam):
+    """Unnormalized log power prior: the imaginary-data log likelihood discounted by 1/n*.
+
+    lam is a float, or a numpy array scored in one batched call that gives
+    -inf outside the family's domain.
+    """
+    ctx = imaginary.context(family)
+    if isinstance(lam, np.ndarray):
+        return ctx.loglik_batch(lam) * imaginary.alpha0
+    return ctx.loglik(lam) * imaginary.alpha0
 
 
 def power_prior_log_norm_const(family: Family, imaginary: ImaginaryData) -> float:
@@ -185,9 +191,11 @@ class PowerPrior:
     log_norm_const: float
     kind: str = "A"
 
-    def log_density(self, lam: float) -> float:
+    def log_density(self, lam):
+        """Log density at lam, a float or a numpy array; -inf off the domain."""
         dom = self.family.lambda_domain
-        if dom is not None and not (dom[0] < lam < dom[1]):
+        if (not isinstance(lam, np.ndarray) and dom is not None
+                and not (dom[0] < lam < dom[1])):
             return -math.inf
         return log_power_prior_kernel(self.family, self.imaginary, lam) \
             - self.log_norm_const
@@ -211,16 +219,23 @@ class UnitInfoPrior:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"prior scale must be positive and finite, got {self.scale}")
 
-    def log_density(self, lam: float) -> float:
+    def log_density(self, lam):
+        """Log density at lam, a float or a numpy array; -inf off the support."""
+        batch = isinstance(lam, np.ndarray)
         if self.on_log_scale:
-            if lam <= 0.0:
+            if batch:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x = np.log(np.where(lam > 0.0, lam, np.nan))
+            elif lam <= 0.0:
                 return -math.inf
-            x = math.log(lam)
+            else:
+                x = math.log(lam)
             jac = -x  # 1/lambda change-of-variable factor
         else:
             x, jac = lam, 0.0
-        return (-0.5 * math.log(2.0 * math.pi) - math.log(self.scale)
-                - (x - self.location) ** 2 / (2.0 * self.scale ** 2) + jac)
+        val = (-0.5 * math.log(2.0 * math.pi) - math.log(self.scale)
+               - (x - self.location) ** 2 / (2.0 * self.scale ** 2) + jac)
+        return np.where(np.isnan(val), -np.inf, val) if batch else val
 
 
 def build_power_prior(family: Family, imaginary: ImaginaryData) -> PowerPrior:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,20 +22,42 @@ REAL_LIMIT = (-200.0, 200.0)
 POSITIVE_LIMIT = (1e-12, 200.0)
 
 
-def _log_trapz(log_vals: np.ndarray, step: float) -> float:
-    logw = np.full(log_vals.size, math.log(step))
+@dataclass(frozen=True)
+class LogIntegral:
+    """A log integral with the final trapezoid grid it was read from."""
+
+    value: float
+    xs: np.ndarray              # final grid, evenly spaced
+    log_vals: np.ndarray        # log integrand at xs
+    expansions: int             # times the window grew
+    halvings: int               # times the grid step was halved
+
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights of the integrand at xs, normalized to sum to 1:
+        the distribution on the grid that the integrand is proportional to."""
+        w = np.exp(self.log_vals + _log_weights(self.xs.size, self.xs[1] - self.xs[0])
+                   - self.value)
+        return w / w.sum()
+
+
+def _log_weights(size: int, step: float) -> np.ndarray:
+    logw = np.full(size, math.log(step))
     logw[0] -= math.log(2.0)
     logw[-1] -= math.log(2.0)
-    return float(logsumexp(log_vals + logw))
+    return logw
 
 
-def _eval(log_f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    vals = np.array([log_f(float(x)) for x in xs], dtype=float)
+def _log_trapz(log_vals: np.ndarray, step: float) -> float:
+    return float(logsumexp(log_vals + _log_weights(log_vals.size, step)))
+
+
+def _eval(log_f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    vals = np.broadcast_to(np.asarray(log_f(xs), dtype=float), xs.shape)
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
 def log_integral(
-    log_f: Callable[[float], float],
+    log_f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     *,
@@ -44,22 +67,28 @@ def log_integral(
     tail_tol: float = 1e-12,
     limits: tuple[float, float] | None = None,
     boundary_lo: bool = False,
-) -> float:
+    full_output: bool = False,
+) -> float | LogIntegral:
     """log of the integral of exp(log_f) over [lo, hi].
 
-    The trapezoid grid is refined by halving the step until the log value
+    log_f takes a numpy array of points and is called once per grid. The
+    trapezoid grid is refined by halving the step until the log value
     stabilizes. When `limits` is given the window is first expanded until
     endpoint contributions fall below `tail_tol` of the total mass.
     boundary_lo marks the lower limit as a support boundary where the
     integrand may stay finite without the integral being truncated.
+    With full_output the result is a LogIntegral holding the final grid.
     """
+    expansions = 0
     if limits is not None:
-        lo, hi = _expand_window(log_f, lo, hi, limits, tail_tol, boundary_lo)
+        lo, hi, expansions = _expand_window(log_f, lo, hi, limits, tail_tol,
+                                            boundary_lo)
 
     xs = np.linspace(lo, hi, init_points)
     vals = _eval(log_f, xs)
     total = _log_trapz(vals, xs[1] - xs[0])
-    for _ in range(max_doublings):
+    halvings = 0
+    for halvings in range(1, max_doublings + 1):
         mid = (xs[:-1] + xs[1:]) / 2.0
         new_xs = np.empty(xs.size + mid.size)
         new_vals = np.empty_like(new_xs)
@@ -71,13 +100,15 @@ def log_integral(
         total = refined
         if done:
             break
+    if full_output:
+        return LogIntegral(total, xs, vals, expansions, halvings)
     return total
 
 
 def _expand_window(log_f, lo, hi, limits, tail_tol, boundary_lo=False):
     lim_lo, lim_hi = limits
     log_tail = math.log(tail_tol)
-    for _ in range(200):
+    for expansions in range(200):
         xs = np.linspace(lo, hi, 129)
         vals = _eval(log_f, xs)
         step = xs[1] - xs[0]
@@ -97,7 +128,7 @@ def _expand_window(log_f, lo, hi, limits, tail_tol, boundary_lo=False):
                     hi_heavy and hi >= lim_hi):
                 raise IntegrationFailure(
                     f"integrand tails do not decay within limits {limits}")
-            return lo, hi
+            return lo, hi, expansions
     raise IntegrationFailure("window expansion did not converge")
 
 

@@ -1,21 +1,25 @@
 """Seeded scenario generators, the full analysis pipeline, and sensitivity sweeps."""
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import TranselectError
-from .evidence import (CHIB, FamilyResult, SelectionReport, evidence_chib,
-                       evidence_closed_form, evidence_laplace_metropolis,
-                       evidence_quadrature, posterior_model_probs)
+from .evidence import (CHIB, LAPLACE_METROPOLIS, QUADRATURE, FamilyResult,
+                       SelectionReport, evidence_chib, evidence_closed_form,
+                       evidence_laplace_metropolis, evidence_quadrature,
+                       posterior_model_probs)
 from .families import ALL_FAMILIES, Family, prepare
 from .likelihood import LikelihoodContext, MhConfig, posterior_summary, run_mh
 from .priors import (build_power_prior, build_unit_info_prior,
                      estimate_dual_anchor, make_imaginary)
 
-ALL_METHODS = (CHIB, "laplace_metropolis", "quadrature")
+ALL_METHODS = (CHIB, LAPLACE_METROPOLIS, QUADRATURE)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,17 @@ class AnalysisConfig:
             raise ValueError("at least one family required")
         if not self.methods:
             raise ValueError("at least one evidence method required")
+        unknown = [m for m in self.methods if m not in ALL_METHODS]
+        if unknown:
+            raise ValueError(f"unknown evidence methods {unknown}; "
+                             f"choose from {list(ALL_METHODS)}")
         if self.prob_method not in self.methods:
             self.prob_method = self.methods[0]
+
+    @property
+    def needs_chain(self) -> bool:
+        """Whether an estimator needs the MH chain; quadrature alone does not."""
+        return CHIB in self.methods or LAPLACE_METROPOLIS in self.methods
 
 
 def _child_seed(root: int, *key: int) -> int:
@@ -87,6 +100,8 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
     """Run the whole selection pipeline on a raw data vector for one prior setting.
 
     chain_sink, if given, is called with (family, chain) for each MH run.
+    MH runs only when an estimator needs the chain. Otherwise lambda_mode and
+    lambda_sd come from the quadrature grid, which holds the exact posterior.
     """
     if prior_kind not in ("A", "B"):
         raise ValueError(f"prior_kind must be 'A' or 'B', got {prior_kind}")
@@ -115,23 +130,25 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
         else:
             prior = build_unit_info_prior(family, imaginary, anchor=anchor)
 
-        mh_cfg = replace(cfg.mh, seed=_child_seed(cfg.seed, fam_idx, prior_idx, 0))
-        chain = run_mh(ctx, prior, mh_cfg)
-        if chain_sink is not None:
-            chain_sink(family, chain)
-
         evidence = {}
-        if CHIB in cfg.methods:
-            evidence[CHIB] = evidence_chib(
-                ctx, prior, chain, J=cfg.chib_draws,
-                seed=_child_seed(cfg.seed, fam_idx, prior_idx, 1))
-        if "laplace_metropolis" in cfg.methods:
-            evidence["laplace_metropolis"] = evidence_laplace_metropolis(
-                ctx, prior, chain)
-        if "quadrature" in cfg.methods:
-            evidence["quadrature"] = evidence_quadrature(ctx, prior)
-
-        mode, _, sd = posterior_summary(chain)
+        if cfg.needs_chain:
+            mh_cfg = replace(cfg.mh, seed=_child_seed(cfg.seed, fam_idx, prior_idx, 0))
+            chain = run_mh(ctx, prior, mh_cfg)
+            if chain_sink is not None:
+                chain_sink(family, chain)
+            if CHIB in cfg.methods:
+                evidence[CHIB] = evidence_chib(
+                    ctx, prior, chain, J=cfg.chib_draws,
+                    seed=_child_seed(cfg.seed, fam_idx, prior_idx, 1))
+            if LAPLACE_METROPOLIS in cfg.methods:
+                evidence[LAPLACE_METROPOLIS] = evidence_laplace_metropolis(
+                    ctx, prior, chain)
+            mode, _, sd = posterior_summary(chain)
+        if QUADRATURE in cfg.methods:
+            evidence[QUADRATURE] = evidence_quadrature(ctx, prior)
+            if not cfg.needs_chain:
+                mode = evidence[QUADRATURE].diagnostics["lambda_mode"]
+                sd = evidence[QUADRATURE].diagnostics["lambda_sd"]
         results.append(FamilyResult(family=family, prior_kind=prior_kind,
                                     evidence=evidence, lambda_mode=mode,
                                     lambda_sd=sd))
@@ -183,18 +200,19 @@ def _sweep_scenario(sweep: SweepSpec, point, seed: int) -> ScenarioSpec:
 
 
 def run_sweep(sweep: SweepSpec, cfg: AnalysisConfig | None = None,
-              on_point=None) -> list[dict]:
+              on_point=None, on_failure=None) -> list[dict]:
     """Replicated scenarios per axis point, aggregated into plot-ready rows.
 
     Each cell is seeded from (sweep seed, point index, replication index).
-    on_point, if given, receives each point's rows as they complete; a failing
-    point is skipped after its partial rows are flushed.
+    on_point, if given, receives each point's rows as they complete. A
+    replication that raises a TranselectError is logged, passed to on_failure
+    as a dict, and left out of its point's rows, whose `replications` counts
+    the replications that succeeded; the sweep goes on.
     """
     rows: list[dict] = []
     for p_idx, point in enumerate(sweep.points):
         probs: dict[Family, list[float]] = {f: [] for f in ALL_FAMILIES}
         modes: dict[Family, list[float]] = {f: [] for f in ALL_FAMILIES}
-        failed = False
         for rep in range(sweep.replications):
             cell_seed = _child_seed(sweep.seed, p_idx, rep)
             spec = _sweep_scenario(sweep, point, cell_seed)
@@ -202,9 +220,16 @@ def run_sweep(sweep: SweepSpec, cfg: AnalysisConfig | None = None,
             run_cfg = replace(run_cfg, seed=cell_seed)
             try:
                 report = run_scenario(spec, sweep.prior_kind, run_cfg)
-            except TranselectError:
-                failed = True
-                break
+            except TranselectError as exc:
+                failure = {"prior": sweep.prior_kind, "axis_value": float(point),
+                           "replication": rep, "seed": cell_seed,
+                           "error": type(exc).__name__, "message": str(exc)}
+                log.warning("sweep %s=%s prior %s replication %d failed: %s: %s",
+                            sweep.axis, point, sweep.prior_kind, rep,
+                            failure["error"], exc)
+                if on_failure is not None:
+                    on_failure(failure)
+                continue
             for r in report.results:
                 probs[r.family].append(r.posterior_model_prob)
                 if r.lambda_mode is not None:
@@ -225,6 +250,4 @@ def run_sweep(sweep: SweepSpec, cfg: AnalysisConfig | None = None,
         rows.extend(point_rows)
         if on_point is not None:
             on_point(point_rows)
-        if failed:
-            continue
     return rows

@@ -91,3 +91,29 @@ def fd_fisher_scale(family: Family, imaginary, anchor_value: float | None = None
             return ctx.loglik(x) / n
     d2 = (g(a + h) - 2.0 * g(a) + g(a - h)) / h ** 2
     return (-d2) ** -0.5
+
+
+def dense_posterior_sd(ctx, prior, lo: float, hi: float,
+                       n_coarse: int = 2001, n_fine: int = 10001) -> float:
+    """Posterior sd of lambda by fixed-grid trapezoid sums of scalar kernel calls.
+
+    A coarse grid over [lo, hi] finds where the log kernel lies within 40
+    nats of its maximum; a fine grid over that region gives the moments.
+    """
+    def log_kernel(grid):
+        out = []
+        for lam in grid:
+            lp = prior.log_density(float(lam))
+            out.append(-math.inf if lp == -math.inf else ctx.loglik(float(lam)) + lp)
+        return np.array(out)
+
+    coarse = np.linspace(lo, hi, n_coarse)
+    vals = log_kernel(coarse)
+    keep = np.flatnonzero(vals > vals.max() - 40.0)
+    a = coarse[max(keep[0] - 1, 0)]
+    b = coarse[min(keep[-1] + 1, coarse.size - 1)]
+    fine = np.linspace(a, b, n_fine)
+    logw = log_kernel(fine) + _trapz_log_weights(fine)
+    w = np.exp(logw - logsumexp(logw))
+    mean = float(w @ fine)
+    return math.sqrt(float(w @ (fine - mean) ** 2))

@@ -114,6 +114,22 @@ class TestScenarioCommand:
         assert len(rows) == 1000
         assert set(rows[0]) == {"iteration", "lambda", "log_posterior"}
 
+    def test_dump_chains_without_chains_warns(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            rc = main(["scenario", "--dist", "normal", "--n", "50", "--seed", "4",
+                       "--prior", "b", "--families", "id,boxcox", "--methods",
+                       "quadrature", "--out", str(out), "--dump-chains"] + FAST)
+        assert rc == 0
+        assert "no MH chains exist" in caplog.text
+        assert not (out / "chains").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["mh_skipped"] is True
+        assert manifest["tuned_proposal_variance"] == {}
+        rows = list(csv.DictReader((out / "report.csv").open()))
+        boxcox = [r for r in rows if r["family"] == "boxcox"]
+        assert len(boxcox) == 1 and boxcox[0]["lambda_mode"] and boxcox[0]["lambda_sd"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 50, "seed": 5, "prior": "a",
@@ -180,3 +196,16 @@ class TestSweepCommand:
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert len(rows) == 2
         assert {r["family"] for r in rows} == {"id", "log"}
+
+    def test_sweep_runs_both_priors_by_default(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--axis", "gamma-skewness", "--points", "2.0,1.0",
+                   "--n", "60", "--replications", "1", "--families", "id,boxcox",
+                   "--methods", "quadrature", "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert sorted((r["prior"], r["axis_value"], r["family"]) for r in rows) == sorted(
+            (p, v, f) for p in "AB" for v in ("2.0", "1.0") for f in ("id", "boxcox"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["prior"] == "both"
+        assert manifest["failures"] == [] and manifest["mh_skipped"] is True

@@ -81,6 +81,40 @@ class TestMarginalizedLikelihood:
             assert abs(ctx.loglik(lam) - oracle) < 1e-3, family
 
 
+class TestBatchedLikelihood:
+    # The branch points lambda = 0 and lambda = 2 (Yeo-Johnson), values on
+    # both sides of the 1e-10 branch tolerance around them, and a wide range.
+    GRID = np.concatenate([
+        [0.0, 2.0, 5e-11, -5e-11, 2e-10, -2e-10, 2.0 + 5e-11, 2.0 - 5e-11,
+         2.0 + 2e-10, 2.0 - 2e-10],
+        np.linspace(-4.0, 6.0, 101)])
+
+    def test_equals_scalar_loglik_every_family(self):
+        data = prepare(generate(ScenarioSpec("student", 100, seed=4, df=2.0, ncp=-1.0)))
+        for family in (Family.ID, Family.LOG, Family.BOXCOX, Family.MODULUS,
+                       Family.YEOJOHNSON, Family.DUAL):
+            ctx = LikelihoodContext(family, data)
+            lams = self.GRID[self.GRID > 0.0] if family is Family.DUAL else self.GRID
+            batch = ctx.loglik_batch(lams)
+            scalar = np.array([ctx.loglik(float(lam)) for lam in lams])
+            assert np.all(np.isfinite(batch)), family
+            np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-12,
+                                       err_msg=family.value)
+
+    def test_minus_inf_outside_dual_domain(self):
+        ctx = LikelihoodContext(Family.DUAL, _normal_data())
+        got = ctx.loglik_batch(np.array([-1.0, 0.0, math.nan, math.inf, 0.5]))
+        assert np.all(got[:4] == -math.inf)
+        assert got[4] == ctx.loglik(0.5)
+
+    def test_degenerate_transform_raises(self):
+        ctx = LikelihoodContext(Family.BOXCOX, make_data([1.5, 1.5, 1.5]))
+        with pytest.raises(DegenerateTransform):
+            ctx.loglik(0.5)
+        with pytest.raises(DegenerateTransform):
+            ctx.loglik_batch(np.array([0.5, 1.0]))
+
+
 class TestPosteriorKernel:
     def test_kernel_difference_identity(self):
         data = _normal_data()

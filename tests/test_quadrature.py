@@ -46,3 +46,23 @@ class TestLogIntegral:
         assert default_window(True) == POSITIVE_WINDOW
         assert default_limits(False) == (-200.0, 200.0)
         assert default_limits(True)[0] > 0.0
+
+    def test_full_output_grid_and_one_call_per_grid(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return _log_normal_pdf(15.0, 0.7)(x)
+
+        res = log_integral(f, -5.0, 7.0, limits=(-60.0, 60.0), full_output=True)
+        assert abs(res.value) < 1e-6
+        # one call per window probe, one for the initial grid, one per halving
+        assert len(calls) == res.expansions + 1 + 1 + res.halvings
+        assert res.expansions >= 1 and res.halvings >= 1
+        assert res.xs.size == (257 - 1) * 2 ** res.halvings + 1
+        assert res.xs[0] < 14.0 and res.xs[-1] > 16.0
+        w = res.weights()
+        mean = float(w @ res.xs)
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert abs(mean - 15.0) < 1e-8
+        assert abs(math.sqrt(float(w @ (res.xs - mean) ** 2)) - 0.7) < 1e-8

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import skew
 
-from transelect.families import ALL_FAMILIES, Family
-from transelect.likelihood import MhConfig
+from transelect import simulate
+from transelect.errors import MixingFailure
+from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
+from transelect.likelihood import LikelihoodContext, MhConfig
+from transelect.priors import (build_power_prior, build_unit_info_prior,
+                               estimate_dual_anchor, make_imaginary)
+from transelect.quadrature import default_window
 from transelect.simulate import (AnalysisConfig, ScenarioSpec, SweepSpec,
-                                 gamma_params_for_skewness, generate,
-                                 run_scenario, run_sweep)
+                                 analyze_dataset, gamma_params_for_skewness,
+                                 generate, run_scenario, run_sweep)
+
+from _oracles import dense_posterior_sd
 
 FAST_CFG = dict(mh=MhConfig(burn_in=500, draws=2000), chib_draws=500)
 
@@ -79,6 +86,51 @@ class TestAnalysisConfig:
     def test_prob_method_falls_back_to_available(self):
         cfg = AnalysisConfig(methods=("quadrature",))
         assert cfg.prob_method == "quadrature"
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            AnalysisConfig(methods=("quadrature", "harmonic_mean"))
+
+
+def _no_mh(*args, **kwargs):
+    raise AssertionError("run_mh called by a quadrature-only analysis")
+
+
+class TestQuadratureOnlyAnalysis:
+    Y = generate(ScenarioSpec("gamma", 100, seed=1000, shape=2.0, rate=3.0))
+
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_skips_mh_and_matches_full_run(self, prior_kind, monkeypatch):
+        full = analyze_dataset(self.Y, prior_kind, AnalysisConfig(seed=3, **FAST_CFG))
+        monkeypatch.setattr(simulate, "run_mh", _no_mh)
+        quad = analyze_dataset(self.Y, prior_kind,
+                               AnalysisConfig(seed=3, methods=("quadrature",), **FAST_CFG))
+        for family in PARAMETRIC_FAMILIES:
+            f, q = full.result_for(family), quad.result_for(family)
+            assert (q.evidence["quadrature"].log_marginal
+                    == f.evidence["quadrature"].log_marginal), family
+            assert abs(q.lambda_mode - f.lambda_mode) < 1e-5, family
+            diag = q.evidence["quadrature"].diagnostics
+            assert (diag["lambda_mode"], diag["lambda_sd"]) == (q.lambda_mode, q.lambda_sd)
+
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_lambda_sd_matches_dense_grid(self, prior_kind, monkeypatch):
+        monkeypatch.setattr(simulate, "run_mh", _no_mh)
+        report = analyze_dataset(self.Y, prior_kind,
+                                 AnalysisConfig(seed=3, methods=("quadrature",)))
+        data = prepare(self.Y)
+        imaginary = make_imaginary(n_star=data.n, seed=simulate._child_seed(3, 99))
+        anchor = estimate_dual_anchor(imaginary)
+        for family in PARAMETRIC_FAMILIES:
+            if prior_kind == "A":
+                prior = build_power_prior(family, imaginary)
+            else:
+                prior = build_unit_info_prior(family, imaginary, anchor=anchor)
+            lo, hi = default_window(family is Family.DUAL)
+            oracle = dense_posterior_sd(LikelihoodContext(family, data), prior,
+                                        max(lo, 1e-6) if family is Family.DUAL else lo, hi)
+            got = report.result_for(family).lambda_sd
+            assert abs(got - oracle) < 1e-4 * oracle, (family, got, oracle)
 
 
 class TestRunScenario:
@@ -154,6 +206,30 @@ class TestRunSweep:
         r1 = run_sweep(sweep, cfg)
         r2 = run_sweep(sweep, cfg)
         assert r1 == r2
+
+    def test_failed_replication_is_recorded_and_sweep_goes_on(self, monkeypatch, caplog):
+        sweep = SweepSpec(axis="gamma_skewness", points=(2.0, 1.0), n=60,
+                          prior_kind="B", replications=3, seed=4)
+        cfg = AnalysisConfig(families=(Family.ID, Family.LOG),
+                             methods=("quadrature",))
+        bad_seed = simulate._child_seed(4, 0, 1)
+        real = simulate.run_scenario
+
+        def flaky(spec, prior_kind, run_cfg):
+            if spec.seed == bad_seed:
+                raise MixingFailure("injected")
+            return real(spec, prior_kind, run_cfg)
+
+        monkeypatch.setattr(simulate, "run_scenario", flaky)
+        failures = []
+        with caplog.at_level("WARNING"):
+            rows = run_sweep(sweep, cfg, on_failure=failures.append)
+        assert failures == [{"prior": "B", "axis_value": 2.0, "replication": 1,
+                             "seed": bad_seed, "error": "MixingFailure",
+                             "message": "injected"}]
+        assert "replication 1 failed: MixingFailure" in caplog.text
+        reps = {(row["axis_value"], row["family"]): row["replications"] for row in rows}
+        assert reps == {(2.0, "id"): 2, (2.0, "log"): 2, (1.0, "id"): 3, (1.0, "log"): 3}
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
