@@ -12,13 +12,11 @@ from .families import (ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, PreparedData,
                        compute_shift, forward, log_jacobian, prepare,
                        standardize)
 from .likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                         log_marginalized_likelihood, log_posterior_kernel,
-                         posterior_summary, run_mh)
+                         log_posterior_kernel, posterior_summary, run_mh)
 from .priors import (DualAnchor, ImaginaryData, PowerPrior, UnitInfoPrior,
                      build_power_prior, build_unit_info_prior,
                      estimate_dual_anchor, fisher_scale, log_power_prior_kernel,
-                     log_prior_density, make_imaginary,
-                     power_prior_log_norm_const)
+                     make_imaginary, power_prior_log_norm_const)
 from .simulate import (AnalysisConfig, ScenarioSpec, SweepSpec,
                        analyze_dataset, gamma_params_for_skewness, generate,
                        run_scenario, run_sweep)

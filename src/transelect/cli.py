@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyColumn, ParseError, TranselectError
-from .families import ALL_FAMILIES, Family, prepare
+from .families import ALL_FAMILIES, Family
 from .likelihood import MhConfig
-from .priors import estimate_dual_anchor, make_imaginary
 from .simulate import (ALL_METHODS, AnalysisConfig, ScenarioSpec, SweepSpec,
-                       analyze_dataset, generate, run_sweep, _child_seed)
+                       analyze_dataset, generate, run_sweep)
 
 log = logging.getLogger("transelect")
 
@@ -109,13 +108,6 @@ def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _analysis_config(args)
-
-    data = prepare(y)
-    n_star = cfg.n_star if cfg.n_star is not None else data.n
-    imaginary = make_imaginary(n_star=n_star, source=cfg.imaginary_source,
-                               seed=_child_seed(cfg.seed, 99), observed=data.raw)
-    anchor = estimate_dual_anchor(imaginary)
-
     if args.dump_chains and not (cfg.needs_chain
                                  and any(f.has_lambda for f in cfg.families)):
         log.warning("--dump-chains: no MH chains exist for methods %s and "
@@ -146,20 +138,15 @@ def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
     _write_csv(out / "report.csv", REPORT_FIELDS, rows)
 
     manifest = {
+        **report.setup,  # the same for every prior
         "config": config_echo,
         "seed": cfg.seed,
-        "n": data.n,
-        "n_star": n_star,
-        "xi": data.shift_xi,
-        "epsilon": data.epsilon,
-        "dual_anchor": anchor.value,
-        "dual_anchor_from_fallback": anchor.from_fallback,
         "tuned_proposal_variance": tuned,
         "mh_skipped": not cfg.needs_chain,
         "mh_draws": cfg.mh.draws,
         "mh_burn_in": cfg.mh.burn_in,
         "chib_j": cfg.chib_draws,
-        "include_constant": cfg.include_constant,
+        "include_constant": True,
         "timestamp": _timestamp(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -276,12 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value, given as `--config FILE` or `--config=FILE`."""
+    pre = argparse.ArgumentParser(prog="transelect", add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
+
+
+def _apply_config_file(argv: list[str], cfg_path: str) -> list[str]:
     # flags override file values: inject file entries before the explicit flags
-    if "--config" not in argv:
-        return argv
-    cfg_path = argv[argv.index("--config") + 1]
     values = json.loads(Path(cfg_path).read_text())
+    if not isinstance(values, dict):
+        raise ValueError(f"{cfg_path}: expected a JSON object of flag values")
     injected = []
     for key, val in values.items():
         flag = "--" + key.replace("_", "-")
@@ -296,10 +289,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv:
-        argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
+    cfg_path = _config_path(argv)
     try:
+        if cfg_path is not None:
+            argv = _apply_config_file(argv, cfg_path)
+        args = parser.parse_args(argv)
         args.func(args)
     except (TranselectError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,

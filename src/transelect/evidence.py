@@ -17,6 +17,7 @@ CHIB = "chib"
 LAPLACE_METROPOLIS = "laplace_metropolis"
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed_form"
+_CHIB_BATCHES = 50  # batch means behind the MC se of Chib's numerator
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ def evidence_closed_form(ctx: LikelihoodContext) -> EvidenceEstimate:
 
 
 def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
-                  J: int = 2000, seed: int = 0, n_batches: int = 50) -> EvidenceEstimate:
+                  J: int = 2000, seed: int = 0) -> EvidenceEstimate:
     """Candidate estimator: likelihood and prior at the mode minus the estimated
     posterior ordinate, with the ordinate built from the MH output."""
     if J < 500:
@@ -65,44 +66,41 @@ def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
             f"posterior ordinate underflowed for {ctx.family.value}")
     log_ordinate = math.log(num) - math.log(den)
 
-    batches = np.array_split(num_terms, n_batches)
+    batches = np.array_split(num_terms, _CHIB_BATCHES)
     batch_means = np.array([b.mean() for b in batches])
     se_num = float(batch_means.std(ddof=1) / math.sqrt(len(batch_means)))
     se_den = float(den_terms.std(ddof=1) / math.sqrt(J))
     mc_se = math.sqrt((se_num / num) ** 2 + (se_den / den) ** 2)
 
-    lam_star = chain.lambda_mode
-    log_marginal = log_k_star - log_ordinate
     return EvidenceEstimate(
-        log_marginal=log_marginal, method=CHIB, mc_se=mc_se,
+        log_marginal=log_k_star - log_ordinate, method=CHIB, mc_se=mc_se,
         include_constant=ctx.include_constant,
         diagnostics={"J": J, "M": chain.draws.size, "k_star": k_var,
-                     "lambda_star": lam_star, "log_ordinate": log_ordinate})
+                     "lambda_star": chain.lambda_mode, "log_ordinate": log_ordinate})
 
 
 def evidence_laplace_metropolis(ctx: LikelihoodContext, prior,
                                 chain: PosteriorChain) -> EvidenceEstimate:
     """Gaussian approximation around the chain mode, using the chain variance."""
     var = float(chain.draws.var(ddof=1))
-    lam_star = chain.lambda_mode
     log_marginal = (0.5 * math.log(2.0 * math.pi) + 0.5 * math.log(var)
                     + log_sampling_kernel(ctx, prior, chain.mode))
     return EvidenceEstimate(
         log_marginal=log_marginal, method=LAPLACE_METROPOLIS,
         include_constant=ctx.include_constant,
-        diagnostics={"lambda_star": lam_star, "posterior_var": var})
+        diagnostics={"lambda_star": chain.lambda_mode, "posterior_var": var})
 
 
 def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
     """Direct numerical integration of likelihood times prior over lambda.
 
-    The integral runs on the sampling scale, log lambda for Dual, where the
-    posterior is smooth up to the lambda -> 0 boundary. The final grid holds
-    the posterior of lambda; its diagnostics give the posterior sd from the
-    trapezoid weights and the mode as run_mh defines a chain's: the kernel's
-    argmax on the sampling scale, refined.
+    The integral runs on the family's sampling scale (see log_sampling_kernel),
+    where a log-scale posterior is smooth up to the lambda -> 0 boundary. The
+    final grid holds the posterior of lambda; its diagnostics give the
+    posterior sd from the trapezoid weights and the mode as run_mh defines a
+    chain's: the kernel's argmax on the sampling scale, refined.
     """
-    on_log = ctx.family is Family.DUAL
+    on_log = ctx.family.on_log_scale
     to_x = math.log if on_log else float
     limits = tuple(map(to_x, default_limits(on_log)))
     if prior.kind == "A":
@@ -151,6 +149,7 @@ class SelectionReport:
     prior_kind: str
     prob_method: str
     results: list[FamilyResult]
+    setup: dict = field(default_factory=dict)  # see analyze_dataset; not in to_dict
 
     @property
     def ranking(self) -> list[Family]:

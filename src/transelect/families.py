@@ -31,6 +31,11 @@ class Family(Enum):
         return self in (Family.LOG, Family.BOXCOX, Family.DUAL)
 
     @property
+    def on_log_scale(self) -> bool:
+        # Dual's lambda > 0 is sampled, integrated and given its prior B on log lambda.
+        return self is Family.DUAL
+
+    @property
     def lambda_domain(self) -> tuple[float, float] | None:
         if not self.has_lambda:
             return None

@@ -10,9 +10,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .errors import DegenerateTransform, MixingFailure
-from .families import Family, PreparedData
+from .families import _BRANCH_TOL, Family, PreparedData
 
-_BRANCH_TOL = 1e-10
 # Elements per block of a batched evaluation: 32768 // n lambdas at a time
 # keeps the (k, n) temporaries near 256 KB each, so peak memory does not grow
 # with the grid.
@@ -153,10 +152,6 @@ class LikelihoodContext:
         return out
 
 
-def log_marginalized_likelihood(ctx: LikelihoodContext, lam: float = 0.0) -> float:
-    return ctx.loglik(lam)
-
-
 def log_posterior_kernel(ctx: LikelihoodContext, prior, lam: float) -> float:
     """Unnormalized log posterior of lambda: likelihood plus prior log density."""
     lp = prior.log_density(lam)
@@ -166,13 +161,13 @@ def log_posterior_kernel(ctx: LikelihoodContext, prior, lam: float) -> float:
 
 
 def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
-    """Log posterior kernel on the scale MH samples: lambda, or log lambda for
-    Dual, where it carries the +log(lambda) change-of-variable term.
+    """Log posterior kernel on the scale MH samples: lambda, or log lambda with
+    the +log(lambda) change-of-variable term where `Family.on_log_scale`.
 
     x is a float, or a numpy array scored in one batched call; both give -inf
     outside the family's domain.
     """
-    on_log = ctx.family is Family.DUAL
+    on_log = ctx.family.on_log_scale
     if isinstance(x, np.ndarray):
         lam = np.exp(x) if on_log else x
         val = ctx.loglik_batch(lam) + prior.log_density(lam)
@@ -203,10 +198,11 @@ class MhConfig:
     draws: int = 16000
     initial_step: float = 0.5
     target_accept: tuple[float, float] = (0.3, 0.5)
-    adapt_window: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
         if self.draws < 1000:
             raise ValueError("draws must be at least 1000")
         if not (0.0 < self.target_accept[0] < self.target_accept[1] < 1.0):
@@ -217,15 +213,18 @@ class MhConfig:
 
 @dataclass
 class PosteriorChain:
-    """Post-burn-in MH output. Dual chains live on the log-lambda scale."""
+    """Post-burn-in MH output, on the family's sampling scale."""
 
     family: Family
-    on_log_scale: bool
     draws: np.ndarray            # sampling scale
     log_kernel: np.ndarray       # log posterior kernel at each draw
     accept_rate: float
     step_sd: float               # tuned proposal sd, sampling scale (sqrt of k*)
     mode: float                  # refined kernel argmax, sampling scale
+
+    @property
+    def on_log_scale(self) -> bool:
+        return self.family.on_log_scale
 
     @property
     def lambda_draws(self) -> np.ndarray:
@@ -235,28 +234,23 @@ class PosteriorChain:
     def lambda_mode(self) -> float:
         return math.exp(self.mode) if self.on_log_scale else self.mode
 
-    @property
-    def lambda_sd(self) -> float:
-        return float(self.lambda_draws.std(ddof=1))
-
 
 def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
     """Adaptive Gaussian random-walk Metropolis-Hastings for the transformation parameter.
 
-    Dual is sampled on log-lambda so proposals never leave the positive axis;
-    the kernel then carries the +log(lambda) change-of-variable term. The
-    proposal sd follows a Robbins-Monro recursion toward the midpoint of
-    cfg.target_accept during burn-in and is frozen afterwards.
+    A family on the log scale is sampled on log lambda, so proposals never
+    leave the positive axis. The proposal sd follows a Robbins-Monro recursion
+    toward the midpoint of cfg.target_accept during burn-in and is frozen
+    afterwards.
     """
     family = ctx.family
-    on_log = family is Family.DUAL
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
 
     rng = np.random.default_rng(cfg.seed)
-    x = math.log(1.2) if on_log else 1.0
+    x = math.log(1.2) if family.on_log_scale else 1.0
     k = kernel(x)
     if k == -math.inf:
-        x = getattr(prior, "location", 0.0 if on_log else 1.0)
+        x = prior.location
         k = kernel(x)
     target = 0.5 * (cfg.target_accept[0] + cfg.target_accept[1])
     log_step = math.log(cfg.initial_step)
@@ -292,9 +286,8 @@ def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
     mode = refine_mode(kernel, best, kernels.max(),
                        (best - 3 * step_sd, best + 3 * step_sd))
 
-    return PosteriorChain(family=family, on_log_scale=on_log, draws=draws,
-                          log_kernel=kernels, accept_rate=accept_rate,
-                          step_sd=step_sd, mode=mode)
+    return PosteriorChain(family=family, draws=draws, log_kernel=kernels,
+                          accept_rate=accept_rate, step_sd=step_sd, mode=mode)
 
 
 def posterior_summary(chain: PosteriorChain) -> tuple[float, float, float]:

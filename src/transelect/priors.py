@@ -13,6 +13,7 @@ from .likelihood import LikelihoodContext
 from .quadrature import default_limits, default_window, log_integral
 
 DUAL_ANCHOR_DEFAULT = 1.2
+MIN_N_STAR = 10
 
 
 @dataclass
@@ -48,8 +49,8 @@ def make_imaginary(n_star: int = 100, source: str = "simulated",
                    seed: int = 0, observed=None) -> ImaginaryData:
     """Simulated standard-normal imaginary data, or a standardized copy of the observed."""
     if source == "simulated":
-        if n_star < 10:
-            raise ValueError("n_star must be at least 10")
+        if n_star < MIN_N_STAR:
+            raise ValueError(f"n_star must be at least {MIN_N_STAR}")
         values = np.random.default_rng(seed).normal(size=n_star)
     elif source == "empirical":
         if observed is None:
@@ -113,8 +114,9 @@ def _curvature_inputs(family: Family, imaginary: ImaginaryData,
                       anchor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(z, dz, d2z, d2 log|J|) of the transformed imaginary data at the prior anchor.
 
-    Derivatives are in lambda for Box-Cox/Modulus/Yeo-Johnson (anchor 1) and in
-    log(lambda) for Dual (anchor log of the estimated normality value).
+    Derivatives are on the family's sampling scale: in lambda for
+    Box-Cox/Modulus/Yeo-Johnson (anchor 1), in log lambda for Dual (anchor log
+    of the estimated normality value).
     """
     if family is Family.BOXCOX:
         v = imaginary.prepared.shifted()
@@ -207,17 +209,21 @@ class PowerPrior:
 
 @dataclass(frozen=True)
 class UnitInfoPrior:
-    """Prior B: normal prior on lambda, log-normal for Dual."""
+    """Prior B: normal prior on the family's sampling scale, so log-normal in
+    lambda for a family on the log scale."""
 
     family: Family
-    location: float
+    location: float              # on the family's sampling scale
     scale: float
-    on_log_scale: bool
     kind: str = "B"
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"prior scale must be positive and finite, got {self.scale}")
+
+    @property
+    def on_log_scale(self) -> bool:
+        return self.family.on_log_scale
 
     def log_density(self, lam):
         """Log density at lam, a float or a numpy array; -inf off the support."""
@@ -245,15 +251,9 @@ def build_power_prior(family: Family, imaginary: ImaginaryData) -> PowerPrior:
 
 def build_unit_info_prior(family: Family, imaginary: ImaginaryData,
                           anchor: DualAnchor | None = None) -> UnitInfoPrior:
-    if family is Family.DUAL:
-        if anchor is None:
-            anchor = estimate_dual_anchor(imaginary)
-        scale = fisher_scale(family, imaginary, anchor)
-        return UnitInfoPrior(family=family, location=math.log(anchor.value),
-                             scale=scale, on_log_scale=True)
-    scale = fisher_scale(family, imaginary)
-    return UnitInfoPrior(family=family, location=1.0, scale=scale, on_log_scale=False)
-
-
-def log_prior_density(prior, lam: float) -> float:
-    return prior.log_density(lam)
+    """Prior B centred on 'no transformation': lambda = 1, or log of the Dual anchor."""
+    if family.on_log_scale and anchor is None:
+        anchor = estimate_dual_anchor(imaginary)
+    location = math.log(anchor.value) if family.on_log_scale else 1.0
+    return UnitInfoPrior(family=family, location=location,
+                         scale=fisher_scale(family, imaginary, anchor))

@@ -20,6 +20,9 @@ POSITIVE_WINDOW = (1e-8, 20.0)
 # real-scale limit is generous.
 REAL_LIMIT = (-200.0, 200.0)
 POSITIVE_LIMIT = (1e-12, 200.0)
+# Stop halving the step once the log integral moves by < ABS_TOL.
+ABS_TOL, MAX_HALVINGS = 1e-8, 10
+TAIL_TOL = 1e-12  # endpoint share of the mass below which the window stops growing
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,6 @@ def log_integral(
     hi: float,
     *,
     init_points: int = 257,
-    abs_tol: float = 1e-8,
-    max_doublings: int = 10,
-    tail_tol: float = 1e-12,
     limits: tuple[float, float] | None = None,
     boundary_lo: bool = False,
     full_output: bool = False,
@@ -74,21 +74,20 @@ def log_integral(
     log_f takes a numpy array of points and is called once per grid. The
     trapezoid grid is refined by halving the step until the log value
     stabilizes. When `limits` is given the window is first expanded until
-    endpoint contributions fall below `tail_tol` of the total mass.
+    endpoint contributions fall below TAIL_TOL of the total mass.
     boundary_lo marks the lower limit as a support boundary where the
     integrand may stay finite without the integral being truncated.
     With full_output the result is a LogIntegral holding the final grid.
     """
     expansions = 0
     if limits is not None:
-        lo, hi, expansions = _expand_window(log_f, lo, hi, limits, tail_tol,
-                                            boundary_lo)
+        lo, hi, expansions = _expand_window(log_f, lo, hi, limits, boundary_lo)
 
     xs = np.linspace(lo, hi, init_points)
     vals = _eval(log_f, xs)
     total = _log_trapz(vals, xs[1] - xs[0])
     halvings = 0
-    for halvings in range(1, max_doublings + 1):
+    for halvings in range(1, MAX_HALVINGS + 1):
         mid = (xs[:-1] + xs[1:]) / 2.0
         new_xs = np.empty(xs.size + mid.size)
         new_vals = np.empty_like(new_xs)
@@ -96,7 +95,7 @@ def log_integral(
         new_vals[0::2], new_vals[1::2] = vals, _eval(log_f, mid)
         xs, vals = new_xs, new_vals
         refined = _log_trapz(vals, xs[1] - xs[0])
-        done = abs(refined - total) < abs_tol
+        done = abs(refined - total) < ABS_TOL
         total = refined
         if done:
             break
@@ -105,9 +104,9 @@ def log_integral(
     return total
 
 
-def _expand_window(log_f, lo, hi, limits, tail_tol, boundary_lo=False):
+def _expand_window(log_f, lo, hi, limits, boundary_lo):
     lim_lo, lim_hi = limits
-    log_tail = math.log(tail_tol)
+    log_tail = math.log(TAIL_TOL)
     for expansions in range(200):
         xs = np.linspace(lo, hi, 129)
         vals = _eval(log_f, xs)

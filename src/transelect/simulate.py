@@ -7,14 +7,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import TranselectError
+from .errors import DegenerateData, TranselectError
 from .evidence import (CHIB, LAPLACE_METROPOLIS, QUADRATURE, FamilyResult,
                        SelectionReport, evidence_chib, evidence_closed_form,
                        evidence_laplace_metropolis, evidence_quadrature,
                        posterior_model_probs)
 from .families import ALL_FAMILIES, Family, prepare
 from .likelihood import LikelihoodContext, MhConfig, posterior_summary, run_mh
-from .priors import (build_power_prior, build_unit_info_prior,
+from .priors import (MIN_N_STAR, build_power_prior, build_unit_info_prior,
                      estimate_dual_anchor, make_imaginary)
 
 ALL_METHODS = (CHIB, LAPLACE_METROPOLIS, QUADRATURE)
@@ -69,7 +69,6 @@ class AnalysisConfig:
     methods: tuple[str, ...] = ALL_METHODS
     families: tuple[Family, ...] = ALL_FAMILIES
     prob_method: str = CHIB
-    include_constant: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,10 +101,16 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
     chain_sink, if given, is called with (family, chain) for each MH run.
     MH runs only when an estimator needs the chain. Otherwise lambda_mode and
     lambda_sd come from the quadrature grid, which holds the exact posterior.
+    The report's `setup` records the prepared data's n, shift xi and epsilon,
+    the imaginary data's n_star, and the Dual anchor.
     """
     if prior_kind not in ("A", "B"):
         raise ValueError(f"prior_kind must be 'A' or 'B', got {prior_kind}")
     data = prepare(y)
+    if cfg.n_star is None and cfg.imaginary_source == "simulated" and data.n < MIN_N_STAR:
+        raise DegenerateData(
+            f"n={data.n} observations: the imaginary data default to n_star=n, "
+            f"which must be at least {MIN_N_STAR}; set n_star (--nstar)")
     n_star = cfg.n_star if cfg.n_star is not None else data.n
     imaginary = make_imaginary(n_star=n_star, source=cfg.imaginary_source,
                                seed=_child_seed(cfg.seed, 99),
@@ -117,7 +122,7 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
     for fam_idx, family in enumerate(ALL_FAMILIES):
         if family not in cfg.families:
             continue
-        ctx = LikelihoodContext(family, data, include_constant=cfg.include_constant)
+        ctx = LikelihoodContext(family, data)
         if not family.has_lambda:
             results.append(FamilyResult(
                 family=family, prior_kind=prior_kind,
@@ -153,8 +158,12 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
                                     evidence=evidence, lambda_mode=mode,
                                     lambda_sd=sd))
 
-    return posterior_model_probs(results, prior_kind=prior_kind,
-                                 prob_method=cfg.prob_method)
+    report = posterior_model_probs(results, prior_kind=prior_kind,
+                                   prob_method=cfg.prob_method)
+    report.setup = {"n": data.n, "n_star": imaginary.n_star, "xi": data.shift_xi,
+                    "epsilon": data.epsilon, "dual_anchor": anchor.value,
+                    "dual_anchor_from_fallback": anchor.from_fallback}
+    return report
 
 
 def run_scenario(spec: ScenarioSpec, prior_kind: str,

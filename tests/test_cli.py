@@ -142,6 +142,45 @@ class TestScenarioCommand:
         rows = list(csv.DictReader((out / "report.csv").open()))
         assert {r["family"] for r in rows} == {"id"}
 
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 40, "prior": "a", "families": "id,log"}))
+        out = tmp_path / "out"
+        rc = main(["scenario", "--dist", "normal", f"--config={cfg}",
+                   "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n"] == 40 and manifest["config"]["prior"] == "a"
+
+    @pytest.mark.parametrize("contents, error", [
+        (None, "FileNotFoundError"),
+        ("{not json", "JSONDecodeError"),
+        ("[1, 2]", "ValueError"),
+    ])
+    def test_bad_config_file_is_machine_readable_error(self, tmp_path, capsys,
+                                                        contents, error):
+        cfg = tmp_path / "cfg.json"
+        if contents is not None:
+            cfg.write_text(contents)
+        rc = main(["scenario", "--dist", "normal", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == error
+
+    def test_config_without_value_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--dist", "normal", "--out", str(tmp_path), "--config"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_negative_burn_in_is_machine_readable_error(self, tmp_path, capsys):
+        rc = main(["scenario", "--dist", "normal", "--n", "50", "--methods", "chib",
+                   "--burn-in", "-5", "--draws", "1000", "--families", "boxcox",
+                   "--prior", "a", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "burn_in" in err["message"]
+
 
 class TestAnalyzeCommand:
     def test_analyze_csv_roundtrip(self, tmp_path):

@@ -61,7 +61,7 @@ class TestLaplaceMetropolis:
         prior_mean, prior_var = 1.1, 0.25
         ctx = _QuadraticLikelihood(lik_center, lik_var)
         prior = UnitInfoPrior(Family.BOXCOX, location=prior_mean,
-                              scale=math.sqrt(prior_var), on_log_scale=False)
+                              scale=math.sqrt(prior_var))
 
         post_prec = 1.0 / lik_var + 1.0 / prior_var
         post_mean = (lik_center / lik_var + prior_mean / prior_var) / post_prec
@@ -73,7 +73,7 @@ class TestLaplaceMetropolis:
         draws = np.empty(m)
         draws[0::2] = post_mean + spread
         draws[1::2] = post_mean - spread
-        chain = PosteriorChain(family=Family.BOXCOX, on_log_scale=False,
+        chain = PosteriorChain(family=Family.BOXCOX,
                                draws=draws, log_kernel=np.zeros(m),
                                accept_rate=0.4, step_sd=0.2, mode=post_mean)
 
@@ -142,8 +142,7 @@ class TestQuadrature:
     def test_degenerate_prior_limit(self):
         data = _normal_dataset(seed=5)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        prior = UnitInfoPrior(Family.BOXCOX, location=0.8, scale=1e-6,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.8, scale=1e-6)
         est = evidence_quadrature(ctx, prior)
         assert abs(est.log_marginal - ctx.loglik(0.8)) < 1e-3
 

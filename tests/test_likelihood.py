@@ -9,7 +9,6 @@ from scipy.stats import norm
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import Family, prepare
 from transelect.likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                                   log_marginalized_likelihood,
                                    log_posterior_kernel, posterior_summary,
                                    run_mh)
 from transelect.priors import UnitInfoPrior, build_power_prior, make_imaginary
@@ -67,10 +66,6 @@ class TestMarginalizedLikelihood:
             ctx = LikelihoodContext(Family.ID, make_data([0.0, 0.0, 0.0]))
             ctx.loglik()
 
-    def test_module_level_wrapper(self):
-        ctx = LikelihoodContext(Family.BOXCOX, _normal_data())
-        assert log_marginalized_likelihood(ctx, 0.8) == ctx.loglik(0.8)
-
     def test_matches_two_d_brute_force(self):
         data = prepare(np.random.default_rng(12).normal(size=8))
         for family, lam in ((Family.ID, 0.0), (Family.LOG, 0.0),
@@ -119,8 +114,7 @@ class TestPosteriorKernel:
     def test_kernel_difference_identity(self):
         data = _normal_data()
         ctx = LikelihoodContext(Family.MODULUS, data)
-        prior = UnitInfoPrior(Family.MODULUS, location=1.0, scale=0.5,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.MODULUS, location=1.0, scale=0.5)
         for l1, l2 in ((0.2, 1.4), (-0.5, 2.0)):
             lhs = log_posterior_kernel(ctx, prior, l1) - log_posterior_kernel(ctx, prior, l2)
             rhs = (ctx.loglik(l1) + prior.log_density(l1)
@@ -130,15 +124,13 @@ class TestPosteriorKernel:
     def test_outside_prior_support_is_minus_inf(self):
         data = _normal_data()
         ctx = LikelihoodContext(Family.DUAL, data)
-        prior = UnitInfoPrior(Family.DUAL, location=0.0, scale=0.3,
-                              on_log_scale=True)
+        prior = UnitInfoPrior(Family.DUAL, location=0.0, scale=0.3)
         assert log_posterior_kernel(ctx, prior, -0.5) == -math.inf
 
     def test_degenerate_prior_pins_argmax_to_prior_mean(self):
         data = _normal_data(n=100, seed=9)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        prior = UnitInfoPrior(Family.BOXCOX, location=0.8, scale=1e-6,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.8, scale=1e-6)
         res = minimize_scalar(lambda lam: -log_posterior_kernel(ctx, prior, lam),
                               bounds=(0.7, 0.9), method="bounded",
                               options={"xatol": 1e-9})
@@ -158,11 +150,16 @@ class TestMhConfig:
         with pytest.raises(ValueError):
             MhConfig(target_accept=(0.5, 0.3))
 
+    def test_negative_burn_in_rejected(self):
+        # run_mh would leave the first |burn_in| draw slots uninitialized
+        with pytest.raises(ValueError, match="burn_in"):
+            MhConfig(burn_in=-5)
+        assert MhConfig(burn_in=0).burn_in == 0
+
 
 class TestRunMh:
     def test_flat_likelihood_recovers_prior(self):
-        prior = UnitInfoPrior(Family.BOXCOX, location=0.7, scale=0.3,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.7, scale=0.3)
         chain = run_mh(_FlatLikelihood(), prior,
                        MhConfig(burn_in=2000, draws=20000, seed=3))
         assert abs(float(chain.draws.mean()) - 0.7) < 0.03
@@ -171,8 +168,7 @@ class TestRunMh:
     def test_same_seed_bit_identical(self):
         data = _normal_data()
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
         cfg = MhConfig(burn_in=500, draws=2000, seed=17)
         c1 = run_mh(ctx, prior, cfg)
         c2 = run_mh(ctx, prior, cfg)
@@ -182,23 +178,20 @@ class TestRunMh:
     def test_acceptance_rate_in_target_band(self):
         data = _normal_data(n=100, seed=2)
         ctx = LikelihoodContext(Family.YEOJOHNSON, data)
-        prior = UnitInfoPrior(Family.YEOJOHNSON, location=1.0, scale=0.5,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.YEOJOHNSON, location=1.0, scale=0.5)
         chain = run_mh(ctx, prior, MhConfig(burn_in=2000, draws=8000, seed=1))
         assert 0.2 < chain.accept_rate < 0.6
 
     def test_dual_draws_strictly_positive(self):
         data = _normal_data(n=80, seed=6)
         ctx = LikelihoodContext(Family.DUAL, data)
-        prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.4,
-                              on_log_scale=True)
+        prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.4)
         chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=4))
         assert chain.on_log_scale
         assert np.all(chain.lambda_draws > 0.0)
 
     def test_mode_maximizes_kernel_over_draws(self):
-        prior = UnitInfoPrior(Family.MODULUS, location=0.5, scale=0.4,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.MODULUS, location=0.5, scale=0.4)
         ctx = LikelihoodContext(Family.MODULUS, _normal_data(seed=8))
         chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=9))
         kern = lambda x: log_posterior_kernel(ctx, prior, x)
@@ -206,8 +199,7 @@ class TestRunMh:
 
     def test_mixing_failure_on_pathological_step(self):
         # A gigantic frozen step after no adaptation window forces rejections.
-        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=1e-4,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=1e-4)
         ctx = LikelihoodContext(Family.BOXCOX, _normal_data(seed=5))
         with pytest.raises(MixingFailure):
             run_mh(ctx, prior, MhConfig(burn_in=0, draws=2000,
@@ -216,8 +208,7 @@ class TestRunMh:
     def test_detailed_balance_total_variation(self):
         # Flat likelihood: the normalized kernel is the prior itself, so the
         # chain histogram must match normal bin masses on a 200-point grid.
-        prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0)
         chain = run_mh(_FlatLikelihood(), prior,
                        MhConfig(burn_in=4000, draws=50000, seed=12))
         edges = np.linspace(-4.0, 4.0, 201)
@@ -231,7 +222,7 @@ class TestRunMh:
 
 class TestPosteriorSummary:
     def test_degenerate_chain(self):
-        chain = PosteriorChain(family=Family.BOXCOX, on_log_scale=False,
+        chain = PosteriorChain(family=Family.BOXCOX,
                                draws=np.full(5, 0.7), log_kernel=np.zeros(5),
                                accept_rate=0.4, step_sd=0.1, mode=0.7)
         mode, mean, sd = posterior_summary(chain)
@@ -240,14 +231,14 @@ class TestPosteriorSummary:
     def test_symmetric_synthetic_chain(self):
         rng = np.random.default_rng(0)
         draws = rng.normal(0.9, 0.08, size=20000)
-        chain = PosteriorChain(family=Family.BOXCOX, on_log_scale=False,
+        chain = PosteriorChain(family=Family.BOXCOX,
                                draws=draws, log_kernel=np.zeros(draws.size),
                                accept_rate=0.4, step_sd=0.1, mode=0.9)
         mode, mean, sd = posterior_summary(chain)
         assert abs(mode - mean) < 3.0 * sd / math.sqrt(draws.size)
 
     def test_empty_chain_rejected(self):
-        chain = PosteriorChain(family=Family.BOXCOX, on_log_scale=False,
+        chain = PosteriorChain(family=Family.BOXCOX,
                                draws=np.empty(0), log_kernel=np.empty(0),
                                accept_rate=0.0, step_sd=0.1, mode=0.0)
         with pytest.raises(ValueError):

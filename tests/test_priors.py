@@ -8,8 +8,8 @@ from transelect.families import PARAMETRIC_FAMILIES, Family
 from transelect.priors import (DualAnchor, ImaginaryData, UnitInfoPrior,
                                build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, fisher_scale,
-                               log_power_prior_kernel, log_prior_density,
-                               make_imaginary, power_prior_log_norm_const)
+                               log_power_prior_kernel, make_imaginary,
+                               power_prior_log_norm_const)
 from transelect.quadrature import default_limits, default_window, log_integral
 
 from _oracles import fd_fisher_scale
@@ -178,37 +178,27 @@ class TestFisherScale:
 
 class TestPriorDensities:
     def test_unit_info_normal_at_mean(self):
-        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5,
-                              on_log_scale=False)
+        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
         expected = math.log(1.0 / (0.5 * math.sqrt(2.0 * math.pi)))
         assert abs(prior.log_density(1.0) - expected) < 1e-12
         assert abs(expected - -0.2258) < 5e-4
 
     def test_lognormal_integrates_to_one(self):
-        prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.45,
-                              on_log_scale=True)
+        prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.45)
         total = log_integral(prior.log_density, 1e-8, 30.0,
                              limits=(1e-12, 500.0), boundary_lo=True)
         assert abs(total) < 1e-6
 
     def test_lognormal_zero_outside_support(self):
-        prior = UnitInfoPrior(Family.DUAL, location=0.0, scale=0.4,
-                              on_log_scale=True)
+        prior = UnitInfoPrior(Family.DUAL, location=0.0, scale=0.4)
         assert prior.log_density(-1.0) == -math.inf
         assert prior.log_density(0.0) == -math.inf
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
-            UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.0,
-                          on_log_scale=False)
+            UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.0)
         with pytest.raises(ValueError):
-            UnitInfoPrior(Family.BOXCOX, location=1.0, scale=math.inf,
-                          on_log_scale=False)
-
-    def test_log_prior_density_dispatch(self):
-        img = make_imaginary(n_star=60, seed=2)
-        prior = build_power_prior(Family.BOXCOX, img)
-        assert log_prior_density(prior, 0.7) == prior.log_density(0.7)
+            UnitInfoPrior(Family.BOXCOX, location=1.0, scale=math.inf)
 
 
 class TestBuildUnitInfoPrior:

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import skew
 
 from transelect import simulate
-from transelect.errors import MixingFailure
+from transelect.errors import DegenerateData, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.likelihood import LikelihoodContext, MhConfig
 from transelect.priors import (build_power_prior, build_unit_info_prior,
@@ -131,6 +131,39 @@ class TestQuadratureOnlyAnalysis:
                                         max(lo, 1e-6) if family is Family.DUAL else lo, hi)
             got = report.result_for(family).lambda_sd
             assert abs(got - oracle) < 1e-4 * oracle, (family, got, oracle)
+
+
+class TestRunSetup:
+    QUAD = dict(methods=("quadrature",))
+
+    def test_setup_record_matches_the_builders(self):
+        y = generate(ScenarioSpec("gamma", 60, seed=11))
+        report = analyze_dataset(y, "B", AnalysisConfig(seed=4, **self.QUAD))
+        data = prepare(y)
+        imaginary = make_imaginary(n_star=60, seed=simulate._child_seed(4, 99))
+        anchor = estimate_dual_anchor(imaginary)
+        assert report.setup == {
+            "n": 60, "n_star": 60, "xi": data.shift_xi, "epsilon": data.epsilon,
+            "dual_anchor": anchor.value,
+            "dual_anchor_from_fallback": anchor.from_fallback}
+        assert "setup" not in report.to_dict()
+
+    def test_small_n_without_n_star_is_degenerate_data(self):
+        y = generate(ScenarioSpec("normal", 8, seed=3))
+        with pytest.raises(DegenerateData, match=r"n=8 .*--nstar"):
+            analyze_dataset(y, "A", AnalysisConfig(**self.QUAD))
+
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_small_n_with_n_star_runs(self, prior_kind):
+        y = generate(ScenarioSpec("normal", 8, seed=3))
+        report = analyze_dataset(y, prior_kind, AnalysisConfig(n_star=20, **self.QUAD))
+        assert (report.setup["n"], report.setup["n_star"]) == (8, 20)
+        assert abs(sum(report.probabilities().values()) - 1.0) < 1e-12
+
+    def test_explicit_small_n_star_is_value_error(self):
+        y = generate(ScenarioSpec("normal", 50, seed=3))
+        with pytest.raises(ValueError, match="n_star must be at least 10"):
+            analyze_dataset(y, "A", AnalysisConfig(n_star=5, **self.QUAD))
 
 
 class TestRunScenario:
