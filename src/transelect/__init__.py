@@ -9,10 +9,9 @@ from .evidence import (EvidenceEstimate, FamilyResult, SelectionReport,
                        evidence_laplace_metropolis, evidence_quadrature,
                        posterior_model_probs)
 from .families import (ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, PreparedData,
-                       compute_shift, forward, log_jacobian, prepare,
-                       standardize)
+                       compute_shift, prepare, standardize)
 from .likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                         log_posterior_kernel, posterior_summary, run_mh)
+                         posterior_summary, run_mh)
 from .priors import (DualAnchor, ImaginaryData, PowerPrior, UnitInfoPrior,
                      build_power_prior, build_unit_info_prior,
                      estimate_dual_anchor, fisher_scale, log_power_prior_kernel,

@@ -270,8 +270,11 @@ def _config_path(argv: list[str]) -> str | None:
     return pre.parse_known_args(argv)[0].config
 
 
-def _apply_config_file(argv: list[str], cfg_path: str) -> list[str]:
-    # flags override file values: inject file entries before the explicit flags
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
+                       cfg_path: str) -> list[str]:
+    """argv with the file's flags right after the subcommand, before the
+    explicit flags, which therefore win. Only --config (and -h) can come
+    before the subcommand; they are moved after it."""
     values = json.loads(Path(cfg_path).read_text())
     if not isinstance(values, dict):
         raise ValueError(f"{cfg_path}: expected a JSON object of flag values")
@@ -282,7 +285,12 @@ def _apply_config_file(argv: list[str], cfg_path: str) -> list[str]:
             injected.append(flag)
         elif val is not False and val is not None:
             injected.extend([flag, str(val)])
-    return argv[:1] + injected + argv[1:]
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if argv[i] == "--config" else 1
+    if i == len(argv):
+        parser.error("--config needs a subcommand (analyze, scenario or sweep)")
+    return argv[i:i + 1] + injected + argv[:i] + argv[i + 1:]
 
 
 def main(argv=None) -> int:
@@ -292,7 +300,7 @@ def main(argv=None) -> int:
     cfg_path = _config_path(argv)
     try:
         if cfg_path is not None:
-            argv = _apply_config_file(argv, cfg_path)
+            argv = _apply_config_file(parser, argv, cfg_path)
         args = parser.parse_args(argv)
         args.func(args)
     except (TranselectError, ValueError, OSError) as exc:

@@ -38,7 +38,7 @@ class OrdinateUnderflow(TranselectError):
 
 
 class InconsistentEvidence(TranselectError):
-    """Evidence estimates being combined use incompatible conventions."""
+    """A family lacks the evidence estimate that the probabilities are computed from."""
 
 
 class ParseError(TranselectError):

@@ -25,7 +25,6 @@ class EvidenceEstimate:
     log_marginal: float
     method: str
     mc_se: float | None = None
-    include_constant: bool = True
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -33,8 +32,7 @@ def evidence_closed_form(ctx: LikelihoodContext) -> EvidenceEstimate:
     """Exact evidence for the parameter-free Id and Log families."""
     if ctx.family.has_lambda:
         raise ValueError(f"{ctx.family.value} has a transformation parameter")
-    return EvidenceEstimate(log_marginal=ctx.loglik(), method=CLOSED_FORM,
-                            include_constant=ctx.include_constant)
+    return EvidenceEstimate(log_marginal=ctx.loglik(), method=CLOSED_FORM)
 
 
 def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
@@ -74,7 +72,6 @@ def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
 
     return EvidenceEstimate(
         log_marginal=log_k_star - log_ordinate, method=CHIB, mc_se=mc_se,
-        include_constant=ctx.include_constant,
         diagnostics={"J": J, "M": chain.draws.size, "k_star": k_var,
                      "lambda_star": chain.lambda_mode, "log_ordinate": log_ordinate})
 
@@ -87,7 +84,6 @@ def evidence_laplace_metropolis(ctx: LikelihoodContext, prior,
                     + log_sampling_kernel(ctx, prior, chain.mode))
     return EvidenceEstimate(
         log_marginal=log_marginal, method=LAPLACE_METROPOLIS,
-        include_constant=ctx.include_constant,
         diagnostics={"lambda_star": chain.lambda_mode, "posterior_var": var})
 
 
@@ -126,7 +122,6 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
                         float(grid.xs[min(i + 1, grid.xs.size - 1)])))
     return EvidenceEstimate(
         log_marginal=grid.value, method=QUADRATURE,
-        include_constant=ctx.include_constant,
         diagnostics={"window": [float(lam[0]), float(lam[-1])],
                      "expansions": grid.expansions, "halvings": grid.halvings,
                      "grid_points": int(grid.xs.size),
@@ -220,13 +215,10 @@ def posterior_model_probs(results: list[FamilyResult], prior_kind: str,
                           prob_method: str = CHIB) -> SelectionReport:
     """Normalize per-family evidence into posterior model probabilities.
 
-    The uniform prior over families cancels in the normalization. Every family
-    must carry evidence under the same log-constant convention.
+    The uniform prior over families cancels in the normalization. Every
+    family must carry closed-form or prob_method evidence.
     """
     chosen = {r.family: _prob_estimate(r, prob_method) for r in results}
-    conventions = {e.include_constant for e in chosen.values()}
-    if len(conventions) > 1:
-        raise InconsistentEvidence("mixed include_constant conventions")
     order = {fam: i for i, fam in enumerate(ALL_FAMILIES)}
     results = sorted(results, key=lambda r: order[r.family])
     logs = np.array([chosen[r.family].log_marginal for r in results])

@@ -1,4 +1,7 @@
-"""The six transformation families: forward maps, Jacobians, standardization, shifting."""
+"""The six transformation families, their parameter domains, standardization and shifting.
+
+The transforms themselves are computed by `likelihood.LikelihoodContext.transform`.
+"""
 from __future__ import annotations
 
 import math
@@ -7,10 +10,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError, NonPositiveInput
+from .errors import DegenerateData, DomainError
 
-# Below this distance from a removable singularity the closed-form branch is used.
-_BRANCH_TOL = 1e-10
+# Dual's lambda taken as 'no transformation' when the imaginary data give no
+# interior maximum; also where MH starts a Dual chain.
+DUAL_ANCHOR_DEFAULT = 1.2
 
 
 class Family(Enum):
@@ -76,10 +80,16 @@ class PreparedData:
 
 
 def standardize(raw) -> np.ndarray:
-    """Z-score with the unbiased sample standard deviation."""
+    """Z-score with the unbiased sample standard deviation.
+
+    Data with fewer than 3 distinct values (such as binary data) are rejected:
+    every monotone transform of two values standardizes to the same data, so
+    lambda is not identified.
+    """
     x = np.asarray(raw, dtype=float)
-    if x.size < 3:
-        raise DegenerateData(f"need at least 3 observations, got {x.size}")
+    distinct = np.unique(x).size
+    if distinct < 3:
+        raise DegenerateData(f"need at least 3 distinct values, got {distinct}")
     sd = x.std(ddof=1)
     if sd <= 0.0 or not np.isfinite(sd):
         raise DegenerateData("sample standard deviation is zero")
@@ -116,77 +126,3 @@ def prepare(raw) -> PreparedData:
     z = standardize(x)
     xi, eps = compute_shift(z)
     return PreparedData(raw=x, standardized=z, shift_xi=xi, epsilon=eps)
-
-
-def _input_for(family: Family, data: PreparedData) -> np.ndarray:
-    if family.requires_shift:
-        y = data.shifted()
-        if np.any(y <= 0.0):
-            raise NonPositiveInput(
-                f"{family.value} requires strictly positive input after shifting")
-        return y
-    return data.standardized
-
-
-def forward(family: Family, data: PreparedData, lam: float = 0.0) -> np.ndarray:
-    """Elementwise transformed data y^(lambda)."""
-    y = _input_for(family, data)
-    if family is Family.ID:
-        return y.copy()
-    if family is Family.LOG:
-        return np.log(y)
-    family.check_lambda(lam)
-    if family is Family.BOXCOX:
-        if abs(lam) < _BRANCH_TOL:
-            return np.log(y)
-        return (np.power(y, lam) - 1.0) / lam
-    if family is Family.MODULUS:
-        u = np.abs(y) + 1.0
-        s = np.where(y >= 0.0, 1.0, -1.0)
-        if abs(lam) < _BRANCH_TOL:
-            return s * np.log(u)
-        return s * (np.power(u, lam) - 1.0) / lam
-    if family is Family.YEOJOHNSON:
-        out = np.empty_like(y)
-        pos = y >= 0.0
-        if abs(lam) < _BRANCH_TOL:
-            out[pos] = np.log(y[pos] + 1.0)
-        else:
-            out[pos] = (np.power(y[pos] + 1.0, lam) - 1.0) / lam
-        neg = ~pos
-        u = 1.0 - y[neg]
-        if abs(lam - 2.0) < _BRANCH_TOL:
-            out[neg] = -np.log(u)
-        else:
-            out[neg] = -(np.power(u, 2.0 - lam) - 1.0) / (2.0 - lam)
-        return out
-    if family is Family.DUAL:
-        if abs(lam) < _BRANCH_TOL:
-            return np.log(y)
-        return (np.power(y, lam) - np.power(y, -lam)) / (2.0 * lam)
-    raise AssertionError(family)
-
-
-def log_jacobian(family: Family, data: PreparedData, lam: float = 0.0) -> float:
-    """Sum of log absolute derivatives of the forward map at the data points."""
-    y = _input_for(family, data)
-    if family is Family.ID:
-        return 0.0
-    if family is Family.LOG:
-        return float(-np.log(y).sum())
-    family.check_lambda(lam)
-    if family is Family.BOXCOX:
-        return float((lam - 1.0) * np.log(y).sum())
-    if family is Family.MODULUS:
-        return float((lam - 1.0) * np.log(np.abs(y) + 1.0).sum())
-    if family is Family.YEOJOHNSON:
-        pos = y >= 0.0
-        lp = np.log(y[pos] + 1.0).sum()
-        ln = np.log(1.0 - y[~pos]).sum()
-        return float((lam - 1.0) * lp + (1.0 - lam) * ln)
-    if family is Family.DUAL:
-        # log((y^(l-1) + y^(-l-1))/2), computed stably via logaddexp.
-        logy = np.log(y)
-        terms = np.logaddexp((lam - 1.0) * logy, (-lam - 1.0) * logy) - math.log(2.0)
-        return float(terms.sum())
-    raise AssertionError(family)

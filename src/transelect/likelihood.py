@@ -9,8 +9,11 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from .errors import DegenerateTransform, MixingFailure
-from .families import _BRANCH_TOL, Family, PreparedData
+from .errors import DegenerateTransform, MixingFailure, NonPositiveInput
+from .families import DUAL_ANCHOR_DEFAULT, Family, PreparedData
+
+# Below this distance from a removable singularity the closed-form branch is used.
+_BRANCH_TOL = 1e-10
 
 # Elements per block of a batched evaluation: 32768 // n lambdas at a time
 # keeps the (k, n) temporaries near 256 KB each, so peak memory does not grow
@@ -40,24 +43,38 @@ def _ratio(f, log_x, lam):
     return np.where(near, log_x, f(lam * log_x) / np.where(near, 1.0, lam))
 
 
+def _ratio_derivatives(f, df, d2f, log_x, lam: float):
+    """g = f(lam * log_x) / lam and its first two derivatives in lam, for lam
+    away from 0; df and d2f are the derivatives of f."""
+    t = lam * log_x
+    g = f(t) / lam
+    dg = (log_x * df(t) - g) / lam
+    return g, dg, (log_x ** 2 * d2f(t) - 2.0 * dg) / lam
+
+
 class LikelihoodContext:
     """Per-(family, dataset) cache for fast repeated likelihood evaluation.
 
     log f(y | lambda, T) = C(n) - ((n-1)/2) log SS(lambda) + log|J(lambda)|
     with SS the centered sum of squares of the transformed data. C(n) is
-    common to every family and optional.
+    common to every family; the prior builders drop it.
+    Raises NonPositiveInput when a family that requires the shift gets
+    shifted data that are not strictly positive.
     """
 
     def __init__(self, family: Family, data: PreparedData,
                  include_constant: bool = True):
         self.family = family
         self.data = data
-        self.include_constant = include_constant
         self.n = data.n
         self.constant = _log_constant(self.n) if include_constant else 0.0
 
         if family.requires_shift:
-            self._logv = np.log(data.shifted())
+            v = data.shifted()
+            if np.any(v <= 0.0):
+                raise NonPositiveInput(
+                    f"{family.value} requires strictly positive input after shifting")
+            self._logv = np.log(v)
             self._sum = float(self._logv.sum())
         else:
             y = data.standardized
@@ -75,13 +92,14 @@ class LikelihoodContext:
         if not family.has_lambda:
             self._fixed = self._evaluate(0.0)
 
-    def _transform_and_jacobian(self, lam):
-        """(transformed data, log|J|) at lam, from the logs cached above.
+    def transform(self, lam=0.0):
+        """(z, log|J|): the transformed data and the log-Jacobian at lam.
 
-        Every formula broadcasts over lambda: a float gives data of shape (n,)
+        Every formula broadcasts over lambda: a float gives z of shape (n,)
         and a float log|J|; a column of k lambdas (shape (k, 1)) gives (k, n)
-        and k log|J| values. Yeo-Johnson lists the non-negative observations
-        first.
+        and k log|J| values. lam is ignored for Id and Log and is not checked
+        against the family's domain. Yeo-Johnson lists the non-negative
+        observations first, then the negative ones, each in data order.
         """
         fam = self.family
         if fam is Family.ID:
@@ -104,9 +122,37 @@ class LikelihoodContext:
             return _ratio(np.sinh, logv, lam), lj
         raise AssertionError(fam)
 
+    def transform_derivatives(self, lam: float):
+        """(z, dz, d2z, d2 log|J|) at lam, for a family with a parameter.
+
+        Derivatives are in the family's sampling variable: lambda, or log
+        lambda where `Family.on_log_scale`. Each transform is g = f(lam L)/lam
+        with f(t) = e^t - 1 (sinh for Dual) and L a cached log; only Dual's
+        log|J| is not linear in lambda. lam must be away from the branch points.
+        """
+        fam = self.family
+        if fam is Family.DUAL:
+            z, dz, d2z = _ratio_derivatives(np.sinh, np.cosh, np.sinh, self._logv, lam)
+            t = lam * self._logv
+            # chain rule for x = log lambda: d/dx = lam d/dlam
+            return (z, lam * dz, lam ** 2 * d2z + lam * dz,
+                    float(np.sum(t * np.tanh(t) + (t / np.cosh(t)) ** 2)))
+        g = functools.partial(_ratio_derivatives, _exp_m1, np.exp, np.exp)
+        if fam is Family.BOXCOX:
+            return (*g(self._logv, lam), 0.0)
+        if fam is Family.MODULUS:
+            return (*(self._sign * d for d in g(self._logu, lam)), 0.0)
+        if fam is Family.YEOJOHNSON:
+            zp, dzp, d2zp = g(self._logu_pos, lam)
+            # the negative branch is -g(2 - lam): dz keeps g's sign, d2z flips it
+            zn, dzn, d2zn = g(self._logu_neg, 2.0 - lam)
+            return (np.concatenate([zp, -zn]), np.concatenate([dzp, dzn]),
+                    np.concatenate([d2zp, -d2zn]), 0.0)
+        raise ValueError(f"{fam.value} has no transformation parameter")
+
     def _evaluate(self, lam: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            z, lj = self._transform_and_jacobian(lam)
+            z, lj = self.transform(lam)
             ss = float(np.sum((z - z.mean()) ** 2))
         if not math.isfinite(ss) or not math.isfinite(lj):
             return -math.inf
@@ -138,7 +184,7 @@ class LikelihoodContext:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, inside.size, k):
                 idx = inside[start:start + k]
-                z, lj = self._transform_and_jacobian(lams[idx, None])
+                z, lj = self.transform(lams[idx, None])
                 ss = np.sum((z - z.mean(axis=1, keepdims=True)) ** 2, axis=1)
                 lj = np.reshape(lj, -1)
                 ok = np.isfinite(ss) & np.isfinite(lj)
@@ -150,14 +196,6 @@ class LikelihoodContext:
                 out[idx[ok]] = (self.constant - (self.n - 1) / 2.0 * np.log(ss[ok])
                                 + lj[ok])
         return out
-
-
-def log_posterior_kernel(ctx: LikelihoodContext, prior, lam: float) -> float:
-    """Unnormalized log posterior of lambda: likelihood plus prior log density."""
-    lp = prior.log_density(lam)
-    if lp == -math.inf:
-        return -math.inf
-    return ctx.loglik(lam) + lp
 
 
 def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
@@ -176,7 +214,10 @@ def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
         lo, hi = ctx.family.lambda_domain
         if not (lo < lam < hi):
             return -math.inf
-        val = log_posterior_kernel(ctx, prior, lam)
+        lp = prior.log_density(lam)
+        if lp == -math.inf:
+            return -math.inf
+        val = ctx.loglik(lam) + lp
     return val + x if on_log else val
 
 
@@ -247,7 +288,7 @@ def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
 
     rng = np.random.default_rng(cfg.seed)
-    x = math.log(1.2) if family.on_log_scale else 1.0
+    x = math.log(DUAL_ANCHOR_DEFAULT) if family.on_log_scale else 1.0
     k = kernel(x)
     if k == -math.inf:
         x = prior.location

@@ -8,11 +8,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import NonPositiveCurvature
-from .families import Family, PreparedData, prepare
+from .families import DUAL_ANCHOR_DEFAULT, Family, PreparedData, prepare
 from .likelihood import LikelihoodContext
 from .quadrature import default_limits, default_window, log_integral
 
-DUAL_ANCHOR_DEFAULT = 1.2
 MIN_N_STAR = 10
 
 
@@ -25,8 +24,6 @@ class ImaginaryData:
     """
 
     prepared: PreparedData
-    source: str                      # "simulated" | "empirical"
-    seed: int | None = None
     _contexts: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -58,7 +55,7 @@ def make_imaginary(n_star: int = 100, source: str = "simulated",
         values = np.asarray(observed, dtype=float)
     else:
         raise ValueError(f"unknown imaginary-data source: {source}")
-    return ImaginaryData(prepared=prepare(values), source=source, seed=seed)
+    return ImaginaryData(prepared=prepare(values))
 
 
 def log_power_prior_kernel(family: Family, imaginary: ImaginaryData, lam):
@@ -110,62 +107,6 @@ def _scov(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x - x.mean(), y - y.mean()) / (x.size - 1))
 
 
-def _curvature_inputs(family: Family, imaginary: ImaginaryData,
-                      anchor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(z, dz, d2z, d2 log|J|) of the transformed imaginary data at the prior anchor.
-
-    Derivatives are on the family's sampling scale: in lambda for
-    Box-Cox/Modulus/Yeo-Johnson (anchor 1), in log lambda for Dual (anchor log
-    of the estimated normality value).
-    """
-    if family is Family.BOXCOX:
-        v = imaginary.prepared.shifted()
-        logv = np.log(v)
-        z = v - 1.0
-        w = v * logv
-        dz = w - z
-        d2z = w * logv - 2.0 * (w - z)
-        return z, dz, d2z, 0.0
-    if family is Family.MODULUS:
-        y = imaginary.prepared.standardized
-        s = np.where(y >= 0.0, 1.0, -1.0)
-        logu = np.log(np.abs(y) + 1.0)
-        z = y
-        w = s * (np.abs(y) + 1.0) * logu
-        dz = w - z
-        d2z = w * logu - 2.0 * (w - z)
-        return z, dz, d2z, 0.0
-    if family is Family.YEOJOHNSON:
-        y = imaginary.prepared.standardized
-        pos = y >= 0.0
-        u = np.where(pos, y + 1.0, 1.0 - y)
-        logu = np.log(u)
-        w = u * logu
-        z = y.copy()
-        # Positive branch matches Modulus; the negative branch carries 2-lambda,
-        # flipping the sign of the first derivative of w relative to z.
-        dz = np.where(pos, w - z, w + z)
-        d2z = np.where(pos, w * logu - 2.0 * (w - z), -w * logu + 2.0 * (w + z))
-        return z, dz, d2z, 0.0
-    if family is Family.DUAL:
-        v = imaginary.prepared.shifted()
-        logv = np.log(v)
-        ell = anchor
-        a = np.power(v, ell)
-        b = np.power(v, -ell)
-        z = (a - b) / (2.0 * ell)
-        w = (a + b) * logv / 2.0
-        dz = w - z
-        d2z = z * ell ** 2 * logv ** 2 - (w - z)
-        denom = (np.power(v, ell - 1.0) + np.power(v, -ell - 1.0)) ** 2
-        jac2 = ell * float(np.sum(
-            logv * (np.power(v, 2.0 * (ell - 1.0))
-                    + 4.0 * ell * logv / v ** 2
-                    - np.power(v, -2.0 * (ell + 1.0))) / denom))
-        return z, dz, d2z, jac2
-    raise ValueError(f"{family.value} has no transformation parameter prior scale")
-
-
 def fisher_scale(family: Family, imaginary: ImaginaryData,
                  anchor: DualAnchor | None = None) -> float:
     """Unit-information prior sd: inverse root of the observed information of the
@@ -173,7 +114,7 @@ def fisher_scale(family: Family, imaginary: ImaginaryData,
     anchor_value = (anchor.value if anchor is not None
                     else estimate_dual_anchor(imaginary).value) \
         if family is Family.DUAL else 1.0
-    z, dz, d2z, jac2 = _curvature_inputs(family, imaginary, anchor_value)
+    z, dz, d2z, jac2 = imaginary.context(family).transform_derivatives(anchor_value)
     n = imaginary.n_star
     sz2 = _svar(z)
     bracket = (_svar(dz) + _scov(z, d2z)) / sz2 - 2.0 * (_scov(z, dz) / sz2) ** 2

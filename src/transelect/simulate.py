@@ -68,7 +68,6 @@ class AnalysisConfig:
     imaginary_source: str = "simulated"
     methods: tuple[str, ...] = ALL_METHODS
     families: tuple[Family, ...] = ALL_FAMILIES
-    prob_method: str = CHIB
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,8 +79,12 @@ class AnalysisConfig:
         if unknown:
             raise ValueError(f"unknown evidence methods {unknown}; "
                              f"choose from {list(ALL_METHODS)}")
-        if self.prob_method not in self.methods:
-            self.prob_method = self.methods[0]
+
+    @property
+    def prob_method(self) -> str:
+        """The evidence behind the model probabilities: Chib if asked for, else
+        the first method."""
+        return CHIB if CHIB in self.methods else self.methods[0]
 
     @property
     def needs_chain(self) -> bool:

@@ -1,21 +1,112 @@
 """Independent numerical oracles shared across test modules.
 
 Everything here recomputes quantities from first principles (finite
-differences, brute-force quadrature) so library closed forms are checked
-against a second, slower derivation.
+differences, brute-force quadrature, a separate elementwise transform) so
+library closed forms are checked against a second, slower derivation.
 """
 import math
 
 import numpy as np
 from scipy.special import logsumexp
 
-from transelect.families import Family, PreparedData, forward, log_jacobian
+from transelect.errors import NonPositiveInput
+from transelect.families import Family, PreparedData
+from transelect.likelihood import _BRANCH_TOL, LikelihoodContext
 
 
 def make_data(values, xi=0.0, eps=0.0) -> PreparedData:
     """PreparedData wrapper around explicit values, bypassing standardization."""
     v = np.asarray(values, dtype=float)
     return PreparedData(raw=v, standardized=v, shift_xi=xi, epsilon=eps)
+
+
+def transform_in_data_order(family: Family, data: PreparedData, lam: float = 0.0):
+    """`LikelihoodContext.transform`'s (z, log|J|), with z in the data's order.
+
+    The library lists Yeo-Johnson's non-negative observations first.
+    """
+    z, lj = LikelihoodContext(family, data).transform(lam)
+    if family is Family.YEOJOHNSON:
+        y = data.standardized
+        order = np.concatenate([np.flatnonzero(y >= 0.0), np.flatnonzero(y < 0.0)])
+        z = z[np.argsort(order)]
+    return z, lj
+
+
+# The elementwise transforms below are a reference written apart from the
+# library's cached-log formulas.
+def _input_for(family: Family, data: PreparedData) -> np.ndarray:
+    if family.requires_shift:
+        y = data.shifted()
+        if np.any(y <= 0.0):
+            raise NonPositiveInput(
+                f"{family.value} requires strictly positive input after shifting")
+        return y
+    return data.standardized
+
+
+def forward(family: Family, data: PreparedData, lam: float = 0.0) -> np.ndarray:
+    """Elementwise transformed data y^(lambda)."""
+    y = _input_for(family, data)
+    if family is Family.ID:
+        return y.copy()
+    if family is Family.LOG:
+        return np.log(y)
+    family.check_lambda(lam)
+    if family is Family.BOXCOX:
+        if abs(lam) < _BRANCH_TOL:
+            return np.log(y)
+        return (np.power(y, lam) - 1.0) / lam
+    if family is Family.MODULUS:
+        u = np.abs(y) + 1.0
+        s = np.where(y >= 0.0, 1.0, -1.0)
+        if abs(lam) < _BRANCH_TOL:
+            return s * np.log(u)
+        return s * (np.power(u, lam) - 1.0) / lam
+    if family is Family.YEOJOHNSON:
+        out = np.empty_like(y)
+        pos = y >= 0.0
+        if abs(lam) < _BRANCH_TOL:
+            out[pos] = np.log(y[pos] + 1.0)
+        else:
+            out[pos] = (np.power(y[pos] + 1.0, lam) - 1.0) / lam
+        neg = ~pos
+        u = 1.0 - y[neg]
+        if abs(lam - 2.0) < _BRANCH_TOL:
+            out[neg] = -np.log(u)
+        else:
+            out[neg] = -(np.power(u, 2.0 - lam) - 1.0) / (2.0 - lam)
+        return out
+    if family is Family.DUAL:
+        if abs(lam) < _BRANCH_TOL:
+            return np.log(y)
+        return (np.power(y, lam) - np.power(y, -lam)) / (2.0 * lam)
+    raise AssertionError(family)
+
+
+def log_jacobian(family: Family, data: PreparedData, lam: float = 0.0) -> float:
+    """Sum of log absolute derivatives of the forward map at the data points."""
+    y = _input_for(family, data)
+    if family is Family.ID:
+        return 0.0
+    if family is Family.LOG:
+        return float(-np.log(y).sum())
+    family.check_lambda(lam)
+    if family is Family.BOXCOX:
+        return float((lam - 1.0) * np.log(y).sum())
+    if family is Family.MODULUS:
+        return float((lam - 1.0) * np.log(np.abs(y) + 1.0).sum())
+    if family is Family.YEOJOHNSON:
+        pos = y >= 0.0
+        lp = np.log(y[pos] + 1.0).sum()
+        ln = np.log(1.0 - y[~pos]).sum()
+        return float((lam - 1.0) * lp + (1.0 - lam) * ln)
+    if family is Family.DUAL:
+        # log((y^(l-1) + y^(-l-1))/2), computed stably via logaddexp.
+        logy = np.log(y)
+        terms = np.logaddexp((lam - 1.0) * logy, (-lam - 1.0) * logy) - math.log(2.0)
+        return float(terms.sum())
+    raise AssertionError(family)
 
 
 def _trapz_log_weights(grid: np.ndarray) -> np.ndarray:

@@ -152,6 +152,26 @@ class TestScenarioCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n"] == 40 and manifest["config"]["prior"] == "a"
 
+    @pytest.mark.parametrize("equals_form", [False, True])
+    def test_config_before_subcommand(self, tmp_path, equals_form):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 40, "prior": "a", "families": "id,log"}))
+        out = tmp_path / "out"
+        config = [f"--config={cfg}"] if equals_form else ["--config", str(cfg)]
+        rc = main(config + ["scenario", "--dist", "normal", "--families", "id",
+                            "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n"] == 40 and manifest["config"]["families"] == "id"
+
+    def test_config_without_subcommand_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 40}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--config needs a subcommand" in capsys.readouterr().err
+
     @pytest.mark.parametrize("contents, error", [
         (None, "FileNotFoundError"),
         ("{not json", "JSONDecodeError"),

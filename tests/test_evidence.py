@@ -11,7 +11,7 @@ from transelect.evidence import (CHIB, CLOSED_FORM, LAPLACE_METROPOLIS,
                                  evidence_quadrature, posterior_model_probs)
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                                   log_posterior_kernel, run_mh)
+                                   log_sampling_kernel, run_mh)
 from transelect.priors import (UnitInfoPrior, build_power_prior,
                                build_unit_info_prior, estimate_dual_anchor,
                                make_imaginary)
@@ -27,7 +27,6 @@ class _QuadraticLikelihood:
 
     def __init__(self, center, var):
         self.family = Family.BOXCOX
-        self.include_constant = True
         self.center = center
         self.var = var
 
@@ -165,8 +164,13 @@ class TestQuadrature:
             prior = build_unit_info_prior(family, imaginary, anchor=anchor)
             ctx = LikelihoodContext(family, data)
             lams = (0.4, 0.8, 1.0, 1.3, 1.9)
-            diffs = [ctx.loglik(l) + prior.log_density(l)
-                     - log_posterior_kernel(ctx, prior, l) for l in lams]
+            diffs = []
+            for l in lams:
+                x = math.log(l) if family.on_log_scale else l
+                # on log lambda the sampled kernel carries the +log(lambda) term
+                jac = x if family.on_log_scale else 0.0
+                diffs.append(ctx.loglik(l) + prior.log_density(l) + jac
+                             - log_sampling_kernel(ctx, prior, x))
             assert max(diffs) - min(diffs) < 1e-12, family
 
 
@@ -196,16 +200,6 @@ class TestPosteriorModelProbs:
                                    prob_method=QUADRATURE).probabilities()
         for family in ALL_FAMILIES:
             assert abs(p1[family] - p2[family]) < 1e-14
-
-    def test_mixed_constant_conventions_rejected(self):
-        results = _results_from_logs([-10.0] * 6)
-        bad = EvidenceEstimate(log_marginal=-10.0, method=QUADRATURE,
-                               include_constant=False)
-        results[2] = FamilyResult(family=Family.BOXCOX, prior_kind="A",
-                                  evidence={QUADRATURE: bad},
-                                  lambda_mode=None, lambda_sd=None)
-        with pytest.raises(InconsistentEvidence):
-            posterior_model_probs(results, "A", prob_method=QUADRATURE)
 
     def test_missing_method_rejected(self):
         results = _results_from_logs([-10.0] * 6)

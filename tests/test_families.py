@@ -5,10 +5,16 @@ import pytest
 
 from transelect.errors import DegenerateData, DomainError, NonPositiveInput
 from transelect.families import (ALL_FAMILIES, PARAMETRIC_FAMILIES, Family,
-                                 compute_shift, forward, log_jacobian, prepare,
-                                 standardize)
+                                 compute_shift, prepare, standardize)
+from transelect.likelihood import LikelihoodContext
 
-from _oracles import fd_log_jacobian, make_data
+from _oracles import (fd_log_jacobian, forward, log_jacobian, make_data,
+                      transform_in_data_order)
+
+
+def transformed(family, data, lam=0.0):
+    """The library's transformed data, in the data's order."""
+    return transform_in_data_order(family, data, lam)[0]
 
 
 class TestStandardize:
@@ -74,49 +80,70 @@ class TestComputeShift:
 class TestForward:
     def test_boxcox_lambda_one(self):
         data = make_data([2.0])
-        np.testing.assert_allclose(forward(Family.BOXCOX, data, 1.0), [1.0])
+        np.testing.assert_allclose(transformed(Family.BOXCOX, data, 1.0), [1.0])
 
     def test_modulus_zero_branch(self):
         data = make_data([-3.0])
-        np.testing.assert_allclose(forward(Family.MODULUS, data, 0.0),
+        np.testing.assert_allclose(transformed(Family.MODULUS, data, 0.0),
                                    [-math.log(4.0)])
 
     def test_yeojohnson_two_branch_negative(self):
         data = make_data([-1.0])
-        np.testing.assert_allclose(forward(Family.YEOJOHNSON, data, 2.0),
+        np.testing.assert_allclose(transformed(Family.YEOJOHNSON, data, 2.0),
                                    [-math.log(2.0)])
 
     def test_dual_small_lambda_limit(self):
         data = make_data([2.0])
-        got = forward(Family.DUAL, data, 1e-8)[0]
+        got = transformed(Family.DUAL, data, 1e-8)[0]
         assert abs(got - math.log(2.0)) < 1e-8
 
     def test_id_returns_input(self):
         data = make_data([-1.0, 0.5, 2.0])
-        np.testing.assert_array_equal(forward(Family.ID, data), data.standardized)
+        np.testing.assert_array_equal(transformed(Family.ID, data), data.standardized)
 
     def test_log_uses_shifted_input(self):
         data = make_data([-0.5, 0.5, 1.0], xi=1.0, eps=0.5)
-        np.testing.assert_allclose(forward(Family.LOG, data),
+        np.testing.assert_allclose(transformed(Family.LOG, data),
                                    np.log([0.5, 1.5, 2.0]))
 
     def test_dual_rejects_nonpositive_lambda(self):
-        data = make_data([1.0, 2.0])
+        ctx = LikelihoodContext(Family.DUAL, make_data([1.0, 2.0]))
         with pytest.raises(DomainError):
-            forward(Family.DUAL, data, -1.0)
+            ctx.loglik(-1.0)
         with pytest.raises(DomainError):
-            forward(Family.DUAL, data, 0.0)
+            ctx.loglik(0.0)
 
     def test_shift_family_rejects_nonpositive_input(self):
         data = make_data([-1.0, 1.0])
         for family in (Family.LOG, Family.BOXCOX, Family.DUAL):
             with pytest.raises(NonPositiveInput):
-                forward(family, data, 0.5)
+                LikelihoodContext(family, data)
 
     def test_nonfinite_lambda_rejected(self):
-        data = make_data([1.0, 2.0])
+        ctx = LikelihoodContext(Family.BOXCOX, make_data([1.0, 2.0]))
         with pytest.raises(DomainError):
-            forward(Family.BOXCOX, data, math.nan)
+            ctx.loglik(math.nan)
+
+    def test_matches_reference_transform(self):
+        # The library's cached-log formulas against the elementwise reference,
+        # at the branch points, inside their tolerance and over a wide range.
+        # The tolerance is relative: a small shift epsilon puts values near 1e15.
+        rng = np.random.default_rng(5)
+        lams = (0.0, 1e-11, -1e-11, 2.0, 2.0 + 1e-11, 2.0 - 1e-11) \
+            + tuple(np.linspace(-3.0, 4.0, 15))
+        for family in ALL_FAMILIES:
+            for _ in range(3):
+                y = rng.normal(size=30)
+                xi = compute_shift(y)[0] if family.requires_shift else 0.0
+                data = make_data(y, xi=xi)
+                for lam in lams:
+                    if family is Family.DUAL and lam <= 0.0:
+                        continue
+                    z, lj = transform_in_data_order(family, data, lam)
+                    np.testing.assert_allclose(z, forward(family, data, lam),
+                                               rtol=1e-9, atol=1e-9,
+                                               err_msg=f"{family.value} {lam}")
+                    assert abs(lj - log_jacobian(family, data, lam)) < 1e-9, (family, lam)
 
 
 class TestContinuity:
@@ -125,23 +152,23 @@ class TestContinuity:
         mixed = make_data([-1.4, -0.2, 0.9, 2.0])
         cases = [(Family.BOXCOX, pos), (Family.MODULUS, mixed)]
         for family, data in cases:
-            at_zero = forward(family, data, 0.0)
+            at_zero = transformed(family, data, 0.0)
             for lam in (1e-9, -1e-9):
-                np.testing.assert_allclose(forward(family, data, lam), at_zero,
+                np.testing.assert_allclose(transformed(family, data, lam), at_zero,
                                            atol=1e-7)
         # Dual's parameter domain is the open positive axis, so the limit branch
         # is reached from above only.
-        np.testing.assert_allclose(forward(Family.DUAL, pos, 1e-9),
+        np.testing.assert_allclose(transformed(Family.DUAL, pos, 1e-9),
                                    np.log(pos.standardized), atol=1e-7)
 
     def test_yeojohnson_continuity_at_zero_and_two(self):
         data = make_data([-1.4, -0.2, 0.9, 2.0])
-        np.testing.assert_allclose(forward(Family.YEOJOHNSON, data, 1e-9),
-                                   forward(Family.YEOJOHNSON, data, 0.0), atol=1e-7)
-        np.testing.assert_allclose(forward(Family.YEOJOHNSON, data, 2.0 - 1e-9),
-                                   forward(Family.YEOJOHNSON, data, 2.0), atol=1e-7)
-        np.testing.assert_allclose(forward(Family.YEOJOHNSON, data, 2.0 + 1e-9),
-                                   forward(Family.YEOJOHNSON, data, 2.0), atol=1e-7)
+        np.testing.assert_allclose(transformed(Family.YEOJOHNSON, data, 1e-9),
+                                   transformed(Family.YEOJOHNSON, data, 0.0), atol=1e-7)
+        np.testing.assert_allclose(transformed(Family.YEOJOHNSON, data, 2.0 - 1e-9),
+                                   transformed(Family.YEOJOHNSON, data, 2.0), atol=1e-7)
+        np.testing.assert_allclose(transformed(Family.YEOJOHNSON, data, 2.0 + 1e-9),
+                                   transformed(Family.YEOJOHNSON, data, 2.0), atol=1e-7)
 
 
 class TestFamilyRelationships:
@@ -150,20 +177,20 @@ class TestFamilyRelationships:
         mod = make_data(y)
         bc = make_data(y + 1.0)
         for lam in (-1.0, -0.3, 0.0, 0.5, 1.0, 2.2):
-            np.testing.assert_allclose(forward(Family.MODULUS, mod, lam),
-                                       forward(Family.BOXCOX, bc, lam))
+            np.testing.assert_allclose(transformed(Family.MODULUS, mod, lam),
+                                       transformed(Family.BOXCOX, bc, lam))
 
     def test_yeojohnson_matches_modulus_on_positive(self):
         data = make_data([0.2, 0.9, 1.7, 3.1])
         for lam in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
-            np.testing.assert_allclose(forward(Family.YEOJOHNSON, data, lam),
-                                       forward(Family.MODULUS, data, lam))
+            np.testing.assert_allclose(transformed(Family.YEOJOHNSON, data, lam),
+                                       transformed(Family.MODULUS, data, lam))
 
     def test_modulus_and_yeojohnson_identity_at_lambda_one(self):
         data = make_data([-2.0, -0.3, 0.0, 0.4, 1.8])
-        np.testing.assert_allclose(forward(Family.MODULUS, data, 1.0),
+        np.testing.assert_allclose(transformed(Family.MODULUS, data, 1.0),
                                    data.standardized, rtol=0.0, atol=5e-16)
-        np.testing.assert_allclose(forward(Family.YEOJOHNSON, data, 1.0),
+        np.testing.assert_allclose(transformed(Family.YEOJOHNSON, data, 1.0),
                                    data.standardized, rtol=0.0, atol=5e-16)
 
 
@@ -179,17 +206,17 @@ class TestMonotonicity:
                 xi, _ = compute_shift(y)
                 xi = xi if xi else 0.0
             data = make_data(y, xi=xi)
-            out = forward(family, data, lam)
+            out = transformed(family, data, lam)
             assert np.all(np.diff(out) > 0.0), (family, lam)
 
 
 class TestLogJacobian:
     def test_id_is_zero(self):
-        assert log_jacobian(Family.ID, make_data([-3.0, 0.0, 9.1])) == 0.0
+        assert transform_in_data_order(Family.ID, make_data([-3.0, 0.0, 9.1]))[1] == 0.0
 
     def test_boxcox_closed_form(self):
         data = make_data([2.0, 4.0])
-        got = log_jacobian(Family.BOXCOX, data, 2.0)
+        got = transform_in_data_order(Family.BOXCOX, data, 2.0)[1]
         assert abs(got - (math.log(2.0) + math.log(4.0))) < 1e-12
 
     def test_matches_finite_differences(self):
@@ -208,7 +235,7 @@ class TestLogJacobian:
                 xi = compute_shift(y)[0] if family.requires_shift else 0.0
                 data = make_data(y, xi=xi)
                 for lam in lam_grid[family]:
-                    exact = log_jacobian(family, data, lam)
+                    exact = transform_in_data_order(family, data, lam)[1]
                     approx = fd_log_jacobian(family, data, lam)
                     assert abs(exact - approx) < 1e-6, (family, lam)
 

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import Family, prepare
 from transelect.likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                                   log_posterior_kernel, posterior_summary,
+                                   log_sampling_kernel, posterior_summary,
                                    run_mh)
 from transelect.priors import UnitInfoPrior, build_power_prior, make_imaginary
 from transelect.simulate import ScenarioSpec, generate
@@ -26,7 +26,6 @@ class _FlatLikelihood:
 
     def __init__(self, family=Family.BOXCOX):
         self.family = family
-        self.include_constant = True
 
     def loglik(self, lam=0.0):
         return 0.0
@@ -116,22 +115,25 @@ class TestPosteriorKernel:
         ctx = LikelihoodContext(Family.MODULUS, data)
         prior = UnitInfoPrior(Family.MODULUS, location=1.0, scale=0.5)
         for l1, l2 in ((0.2, 1.4), (-0.5, 2.0)):
-            lhs = log_posterior_kernel(ctx, prior, l1) - log_posterior_kernel(ctx, prior, l2)
+            lhs = log_sampling_kernel(ctx, prior, l1) - log_sampling_kernel(ctx, prior, l2)
             rhs = (ctx.loglik(l1) + prior.log_density(l1)
                    - ctx.loglik(l2) - prior.log_density(l2))
             assert abs(lhs - rhs) < 1e-12
 
     def test_outside_prior_support_is_minus_inf(self):
-        data = _normal_data()
-        ctx = LikelihoodContext(Family.DUAL, data)
-        prior = UnitInfoPrior(Family.DUAL, location=0.0, scale=0.3)
-        assert log_posterior_kernel(ctx, prior, -0.5) == -math.inf
+        class HalfLinePrior:
+            def log_density(self, lam):
+                return 0.0 if lam > 0.0 else -math.inf
+
+        ctx = LikelihoodContext(Family.BOXCOX, _normal_data())
+        assert math.isfinite(ctx.loglik(-0.5))
+        assert log_sampling_kernel(ctx, HalfLinePrior(), -0.5) == -math.inf
 
     def test_degenerate_prior_pins_argmax_to_prior_mean(self):
         data = _normal_data(n=100, seed=9)
         ctx = LikelihoodContext(Family.BOXCOX, data)
         prior = UnitInfoPrior(Family.BOXCOX, location=0.8, scale=1e-6)
-        res = minimize_scalar(lambda lam: -log_posterior_kernel(ctx, prior, lam),
+        res = minimize_scalar(lambda lam: -log_sampling_kernel(ctx, prior, lam),
                               bounds=(0.7, 0.9), method="bounded",
                               options={"xatol": 1e-9})
         assert abs(float(res.x) - 0.8) < 1e-3
@@ -194,7 +196,7 @@ class TestRunMh:
         prior = UnitInfoPrior(Family.MODULUS, location=0.5, scale=0.4)
         ctx = LikelihoodContext(Family.MODULUS, _normal_data(seed=8))
         chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=9))
-        kern = lambda x: log_posterior_kernel(ctx, prior, x)
+        kern = lambda x: log_sampling_kernel(ctx, prior, x)
         assert kern(chain.mode) >= float(chain.log_kernel.max()) - 1e-12
 
     def test_mixing_failure_on_pathological_step(self):
@@ -279,4 +281,4 @@ class TestPosteriorBands:
                 ctx = LikelihoodContext(family, data)
                 prior = build_power_prior(family, imaginary)
                 for lam in np.linspace(-4.0, 6.0, 41):
-                    assert math.isfinite(log_posterior_kernel(ctx, prior, lam))
+                    assert math.isfinite(log_sampling_kernel(ctx, prior, lam))

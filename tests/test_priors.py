@@ -110,8 +110,7 @@ def _positive_imaginary(minimum: float, n: int = 500, seed: int = 3) -> Imaginar
     vals = np.random.default_rng(seed).normal(size=n)
     v = vals - vals.min() + minimum
     return ImaginaryData(prepared=PreparedData(raw=v, standardized=v,
-                                               shift_xi=0.0, epsilon=0.0),
-                         source="empirical")
+                                               shift_xi=0.0, epsilon=0.0))
 
 
 class TestDualAnchor:

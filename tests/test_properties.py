@@ -1,5 +1,6 @@
 """Property tests: the selection is invariant to affine rescaling and to the
-order of the data, and every forward map is strictly increasing in y.
+order of the data, every transform is strictly increasing in y, and the
+posterior model probabilities obey the probability axioms.
 
 Data are drawn from the paper's scenarios with drawn seeds; examples are
 derandomized so that every run checks the same cases. Analyses are
@@ -10,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transelect.families import PARAMETRIC_FAMILIES, Family, forward, prepare
+from transelect.evidence import (QUADRATURE, EvidenceEstimate, FamilyResult,
+                                 posterior_model_probs)
+from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.simulate import AnalysisConfig, ScenarioSpec, analyze_dataset, generate
+
+from _oracles import transform_in_data_order
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=20)
 QUADRATURE_ONLY = AnalysisConfig(methods=("quadrature",))
@@ -69,7 +74,7 @@ BRANCH_POINTS = ([(f, lam) for f in (Family.BOXCOX, Family.MODULUS, Family.YEOJO
 
 
 def _assert_increasing(y, family, lam):
-    z = forward(family, prepare(np.sort(y)), lam)
+    z = transform_in_data_order(family, prepare(np.sort(y)), lam)[0]
     assert np.all(np.diff(z) > 0.0), (family, lam)
 
 
@@ -86,3 +91,26 @@ def test_forward_strictly_increasing(y, family, data):
 @given(y=datasets(n=st.integers(10, 200)))
 def test_forward_strictly_increasing_at_branch_points(family, lam, y):
     _assert_increasing(y, family, lam)
+
+
+def _probabilities(logs):
+    """Posterior model probabilities of the first len(logs) families."""
+    results = [FamilyResult(family=f, prior_kind="A",
+                            evidence={QUADRATURE: EvidenceEstimate(lm, QUADRATURE)},
+                            lambda_mode=None, lambda_sd=None)
+               for f, lm in zip(ALL_FAMILIES, logs)]
+    report = posterior_model_probs(results, "A", prob_method=QUADRATURE)
+    return np.array([report.result_for(f).posterior_model_prob
+                     for f in ALL_FAMILIES[:len(logs)]])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(logs=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=len(ALL_FAMILIES)),
+       shift=st.floats(-1000.0, 1000.0))
+def test_probability_axioms(logs, shift):
+    p = _probabilities(logs)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert abs(p.sum() - 1.0) < 1e-12
+    assert np.all(np.abs(_probabilities([lm + shift for lm in logs]) - p) < 1e-12)
+    higher = np.asarray(logs)[:, None] > np.asarray(logs)[None, :]
+    assert np.all(p[:, None] >= p[None, :], where=higher)

@@ -160,6 +160,11 @@ class TestRunSetup:
         assert (report.setup["n"], report.setup["n_star"]) == (8, 20)
         assert abs(sum(report.probabilities().values()) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_binary_data_is_degenerate_data(self, prior_kind):
+        with pytest.raises(DegenerateData, match="3 distinct values, got 2"):
+            analyze_dataset(np.tile([0.0, 1.0], 20), prior_kind, AnalysisConfig(**self.QUAD))
+
     def test_explicit_small_n_star_is_value_error(self):
         y = generate(ScenarioSpec("normal", 50, seed=3))
         with pytest.raises(ValueError, match="n_star must be at least 10"):
@@ -246,11 +251,15 @@ class TestRunSweep:
         cfg = AnalysisConfig(families=(Family.ID, Family.LOG),
                              methods=("quadrature",))
         bad_seed = simulate._child_seed(4, 0, 1)
+        tied_seed = simulate._child_seed(4, 1, 2)
         real = simulate.run_scenario
 
         def flaky(spec, prior_kind, run_cfg):
             if spec.seed == bad_seed:
                 raise MixingFailure("injected")
+            if spec.seed == tied_seed:  # binary data, through the real pipeline
+                return simulate.analyze_dataset(np.tile([0.0, 1.0], spec.n // 2),
+                                                prior_kind, run_cfg)
             return real(spec, prior_kind, run_cfg)
 
         monkeypatch.setattr(simulate, "run_scenario", flaky)
@@ -259,10 +268,14 @@ class TestRunSweep:
             rows = run_sweep(sweep, cfg, on_failure=failures.append)
         assert failures == [{"prior": "B", "axis_value": 2.0, "replication": 1,
                              "seed": bad_seed, "error": "MixingFailure",
-                             "message": "injected"}]
+                             "message": "injected"},
+                            {"prior": "B", "axis_value": 1.0, "replication": 2,
+                             "seed": tied_seed, "error": "DegenerateData",
+                             "message": "need at least 3 distinct values, got 2"}]
         assert "replication 1 failed: MixingFailure" in caplog.text
+        assert "replication 2 failed: DegenerateData" in caplog.text
         reps = {(row["axis_value"], row["family"]): row["replications"] for row in rows}
-        assert reps == {(2.0, "id"): 2, (2.0, "log"): 2, (1.0, "id"): 3, (1.0, "log"): 3}
+        assert reps == {(2.0, "id"): 2, (2.0, "log"): 2, (1.0, "id"): 2, (1.0, "log"): 2}
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
