@@ -126,7 +126,7 @@ def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
                     w = csv.writer(fh)
                     w.writerow(["iteration", "lambda", "log_posterior"])
                     for i, (l, k) in enumerate(zip(lam, chain.log_kernel)):
-                        w.writerow([i, repr(l), repr(k)])
+                        w.writerow([i, repr(float(l)), repr(float(k))])
 
         report = analyze_dataset(y, prior_kind, cfg, chain_sink=sink)
         reports.append(report.to_dict())

@@ -11,7 +11,7 @@ from .errors import InconsistentEvidence, OrdinateUnderflow
 from .families import ALL_FAMILIES, Family
 from .likelihood import (LikelihoodContext, PosteriorChain, log_sampling_kernel,
                          refine_mode)
-from .quadrature import default_limits, default_window, log_integral
+from .quadrature import sampling_integral
 
 CHIB = "chib"
 LAPLACE_METROPOLIS = "laplace_metropolis"
@@ -96,24 +96,20 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
     posterior sd from the trapezoid weights and the mode as run_mh defines a
     chain's: the kernel's argmax on the sampling scale, refined.
     """
-    on_log = ctx.family.on_log_scale
-    to_x = math.log if on_log else float
-    limits = tuple(map(to_x, default_limits(on_log)))
-    if prior.kind == "A":
-        lo, hi = map(to_x, default_window(on_log))
-    else:
+    family = ctx.family
+    window = None
+    if prior.kind == "B":
         # Start from the prior's own 10-sigma window (its location and scale
         # are on the sampling scale) so that arbitrarily narrow priors are
         # still resolved by the initial grid; expansion widens it whenever the
         # likelihood pushes mass outside.
-        lo = max(prior.location - 10.0 * prior.scale, limits[0])
-        hi = min(prior.location + 10.0 * prior.scale, limits[1])
+        window = (prior.location - 10.0 * prior.scale,
+                  prior.location + 10.0 * prior.scale)
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
-    grid = log_integral(kernel, lo, hi, limits=limits, boundary_lo=on_log,
-                        full_output=True)
+    grid = sampling_integral(kernel, family.on_log_scale, window)
 
     w = grid.weights()
-    lam = np.exp(grid.xs) if on_log else grid.xs
+    lam = family.to_lambda(grid.xs)
     mean = float(w @ lam)
     i = int(np.argmax(grid.log_vals))
     best = float(grid.xs[i])
@@ -125,7 +121,7 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
         diagnostics={"window": [float(lam[0]), float(lam[-1])],
                      "expansions": grid.expansions, "halvings": grid.halvings,
                      "grid_points": int(grid.xs.size),
-                     "lambda_mode": math.exp(mode) if on_log else mode,
+                     "lambda_mode": float(family.to_lambda(mode)),
                      "lambda_sd": math.sqrt(float(w @ (lam - mean) ** 2))})
 
 

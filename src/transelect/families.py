@@ -36,8 +36,13 @@ class Family(Enum):
 
     @property
     def on_log_scale(self) -> bool:
-        # Dual's lambda > 0 is sampled, integrated and given its prior B on log lambda.
+        # Dual's lambda > 0 is sampled, integrated and given its priors on log lambda.
         return self is Family.DUAL
+
+    def to_lambda(self, x):
+        """lambda at the sampling-scale point x, a float or a numpy array:
+        e^x where `on_log_scale`, else x itself."""
+        return np.exp(x) if self.on_log_scale else x
 
     @property
     def lambda_domain(self) -> tuple[float, float] | None:
@@ -82,11 +87,13 @@ class PreparedData:
 def standardize(raw) -> np.ndarray:
     """Z-score with the unbiased sample standard deviation.
 
-    Data with fewer than 3 distinct values (such as binary data) are rejected:
-    every monotone transform of two values standardizes to the same data, so
-    lambda is not identified.
+    Non-finite values are rejected, and so are data with fewer than 3 distinct
+    values (such as binary data): every monotone transform of two values
+    standardizes to the same data, so lambda is not identified.
     """
     x = np.asarray(raw, dtype=float)
+    if not np.isfinite(x).all():
+        raise DegenerateData("data contain non-finite values (NaN or infinity)")
     distinct = np.unique(x).size
     if distinct < 3:
         raise DegenerateData(f"need at least 3 distinct values, got {distinct}")

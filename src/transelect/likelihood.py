@@ -27,10 +27,6 @@ def _log_constant(n: int) -> float:
                  - 0.5 * math.log(n))
 
 
-def _exp_m1(t):
-    return np.exp(t) - 1.0
-
-
 def _ratio(f, log_x, lam):
     """f(lam * log_x) / lam, or its limit log_x where |lam| < _BRANCH_TOL.
 
@@ -107,13 +103,13 @@ class LikelihoodContext:
         if fam is Family.LOG:
             return self._logv, -self._sum
         if fam is Family.BOXCOX:
-            return _ratio(_exp_m1, self._logv, lam), (lam - 1.0) * self._sum
+            return _ratio(np.expm1, self._logv, lam), (lam - 1.0) * self._sum
         if fam is Family.MODULUS:
-            return (self._sign * _ratio(_exp_m1, self._logu, lam),
+            return (self._sign * _ratio(np.expm1, self._logu, lam),
                     (lam - 1.0) * self._sum)
         if fam is Family.YEOJOHNSON:
-            zp = _ratio(_exp_m1, self._logu_pos, lam)
-            zn = -_ratio(_exp_m1, self._logu_neg, 2.0 - lam)
+            zp = _ratio(np.expm1, self._logu_pos, lam)
+            zn = -_ratio(np.expm1, self._logu_neg, 2.0 - lam)
             return np.concatenate([zp, zn], axis=-1), (lam - 1.0) * self._sum
         if fam is Family.DUAL:
             logv = self._logv
@@ -137,7 +133,7 @@ class LikelihoodContext:
             # chain rule for x = log lambda: d/dx = lam d/dlam
             return (z, lam * dz, lam ** 2 * d2z + lam * dz,
                     float(np.sum(t * np.tanh(t) + (t / np.cosh(t)) ** 2)))
-        g = functools.partial(_ratio_derivatives, _exp_m1, np.exp, np.exp)
+        g = functools.partial(_ratio_derivatives, np.expm1, np.exp, np.exp)
         if fam is Family.BOXCOX:
             return (*g(self._logv, lam), 0.0)
         if fam is Family.MODULUS:
@@ -199,26 +195,23 @@ class LikelihoodContext:
 
 
 def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
-    """Log posterior kernel on the scale MH samples: lambda, or log lambda with
-    the +log(lambda) change-of-variable term where `Family.on_log_scale`.
+    """Log posterior kernel on the scale MH samples and quadrature integrates:
+    lambda, or log lambda where `Family.on_log_scale`. The prior's density is
+    on that same scale.
 
     x is a float, or a numpy array scored in one batched call; both give -inf
     outside the family's domain.
     """
-    on_log = ctx.family.on_log_scale
+    lam = ctx.family.to_lambda(x)
     if isinstance(x, np.ndarray):
-        lam = np.exp(x) if on_log else x
-        val = ctx.loglik_batch(lam) + prior.log_density(lam)
-    else:
-        lam = math.exp(x) if on_log else x
-        lo, hi = ctx.family.lambda_domain
-        if not (lo < lam < hi):
-            return -math.inf
-        lp = prior.log_density(lam)
-        if lp == -math.inf:
-            return -math.inf
-        val = ctx.loglik(lam) + lp
-    return val + x if on_log else val
+        return ctx.loglik_batch(lam) + prior.log_density(x)
+    lo, hi = ctx.family.lambda_domain
+    if not (lo < lam < hi):
+        return -math.inf
+    lp = prior.log_density(x)
+    if lp == -math.inf:
+        return -math.inf
+    return ctx.loglik(lam) + lp
 
 
 def refine_mode(kernel, best: float, best_kernel: float,
@@ -264,16 +257,12 @@ class PosteriorChain:
     mode: float                  # refined kernel argmax, sampling scale
 
     @property
-    def on_log_scale(self) -> bool:
-        return self.family.on_log_scale
-
-    @property
     def lambda_draws(self) -> np.ndarray:
-        return np.exp(self.draws) if self.on_log_scale else self.draws
+        return self.family.to_lambda(self.draws)
 
     @property
     def lambda_mode(self) -> float:
-        return math.exp(self.mode) if self.on_log_scale else self.mode
+        return float(self.family.to_lambda(self.mode))
 
 
 def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
@@ -282,7 +271,8 @@ def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
     A family on the log scale is sampled on log lambda, so proposals never
     leave the positive axis. The proposal sd follows a Robbins-Monro recursion
     toward the midpoint of cfg.target_accept during burn-in and is frozen
-    afterwards.
+    afterwards. A start where the kernel is -inf accepts the first proposal
+    where it is finite.
     """
     family = ctx.family
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
@@ -290,9 +280,6 @@ def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
     rng = np.random.default_rng(cfg.seed)
     x = math.log(DUAL_ANCHOR_DEFAULT) if family.on_log_scale else 1.0
     k = kernel(x)
-    if k == -math.inf:
-        x = prior.location
-        k = kernel(x)
     target = 0.5 * (cfg.target_accept[0] + cfg.target_accept[1])
     log_step = math.log(cfg.initial_step)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -10,7 +11,7 @@ from scipy.optimize import minimize_scalar
 from .errors import NonPositiveCurvature
 from .families import DUAL_ANCHOR_DEFAULT, Family, PreparedData, prepare
 from .likelihood import LikelihoodContext
-from .quadrature import default_limits, default_window, log_integral
+from .quadrature import sampling_integral
 
 MIN_N_STAR = 10
 
@@ -58,25 +59,24 @@ def make_imaginary(n_star: int = 100, source: str = "simulated",
     return ImaginaryData(prepared=prepare(values))
 
 
-def log_power_prior_kernel(family: Family, imaginary: ImaginaryData, lam):
-    """Unnormalized log power prior: the imaginary-data log likelihood discounted by 1/n*.
+def log_power_prior_kernel(family: Family, imaginary: ImaginaryData, x):
+    """Unnormalized log power prior on the sampling scale x: the imaginary-data
+    log likelihood discounted by 1/n*, plus the Jacobian x of lambda = e^x
+    where `Family.on_log_scale`.
 
-    lam is a float, or a numpy array scored in one batched call that gives
+    x is a float, or a numpy array scored in one batched call that gives
     -inf outside the family's domain.
     """
     ctx = imaginary.context(family)
-    if isinstance(lam, np.ndarray):
-        return ctx.loglik_batch(lam) * imaginary.alpha0
-    return ctx.loglik(lam) * imaginary.alpha0
+    loglik = ctx.loglik_batch if isinstance(x, np.ndarray) else ctx.loglik
+    val = loglik(family.to_lambda(x)) * imaginary.alpha0
+    return val + x if family.on_log_scale else val
 
 
 def power_prior_log_norm_const(family: Family, imaginary: ImaginaryData) -> float:
-    """log of the integral of the discounted imaginary-data likelihood over lambda."""
-    positive = family is Family.DUAL
-    lo, hi = default_window(positive)
-    return log_integral(lambda lam: log_power_prior_kernel(family, imaginary, lam),
-                        lo, hi, limits=default_limits(positive),
-                        boundary_lo=positive)
+    """log of the integral of the power-prior kernel over the sampling scale."""
+    return sampling_integral(lambda x: log_power_prior_kernel(family, imaginary, x),
+                             family.on_log_scale).value
 
 
 @dataclass(frozen=True)
@@ -127,25 +127,18 @@ def fisher_scale(family: Family, imaginary: ImaginaryData,
 
 @dataclass(frozen=True)
 class PowerPrior:
-    """Prior A: normalized power prior over lambda built from imaginary data."""
+    """Prior A: normalized power prior on the family's sampling scale, built
+    from imaginary data."""
 
     family: Family
     imaginary: ImaginaryData
     log_norm_const: float
-    kind: str = "A"
+    kind: ClassVar[str] = "A"
 
-    def log_density(self, lam):
-        """Log density at lam, a float or a numpy array; -inf off the domain."""
-        dom = self.family.lambda_domain
-        if (not isinstance(lam, np.ndarray) and dom is not None
-                and not (dom[0] < lam < dom[1])):
-            return -math.inf
-        return log_power_prior_kernel(self.family, self.imaginary, lam) \
+    def log_density(self, x):
+        """Log density at the sampling-scale point x, a float or a numpy array."""
+        return log_power_prior_kernel(self.family, self.imaginary, x) \
             - self.log_norm_const
-
-    @property
-    def location(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -156,33 +149,16 @@ class UnitInfoPrior:
     family: Family
     location: float              # on the family's sampling scale
     scale: float
-    kind: str = "B"
+    kind: ClassVar[str] = "B"
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"prior scale must be positive and finite, got {self.scale}")
 
-    @property
-    def on_log_scale(self) -> bool:
-        return self.family.on_log_scale
-
-    def log_density(self, lam):
-        """Log density at lam, a float or a numpy array; -inf off the support."""
-        batch = isinstance(lam, np.ndarray)
-        if self.on_log_scale:
-            if batch:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    x = np.log(np.where(lam > 0.0, lam, np.nan))
-            elif lam <= 0.0:
-                return -math.inf
-            else:
-                x = math.log(lam)
-            jac = -x  # 1/lambda change-of-variable factor
-        else:
-            x, jac = lam, 0.0
-        val = (-0.5 * math.log(2.0 * math.pi) - math.log(self.scale)
-               - (x - self.location) ** 2 / (2.0 * self.scale ** 2) + jac)
-        return np.where(np.isnan(val), -np.inf, val) if batch else val
+    def log_density(self, x):
+        """Normal log density at the sampling-scale point x, a float or a numpy array."""
+        return (-0.5 * math.log(2.0 * math.pi) - math.log(self.scale)
+                - (x - self.location) ** 2 / (2.0 * self.scale ** 2))
 
 
 def build_power_prior(family: Family, imaginary: ImaginaryData) -> PowerPrior:

@@ -10,16 +10,16 @@ from scipy.special import logsumexp
 
 from .errors import IntegrationFailure
 
-# Default integration windows per parameter support.
+# Default integration windows on each sampling scale: lambda, or log lambda.
 REAL_WINDOW = (-5.0, 7.0)
-POSITIVE_WINDOW = (1e-8, 20.0)
+LOG_WINDOW = (math.log(1e-8), math.log(20.0))
 
 # Hard limits beyond which tails are declared non-decaying. Heavy-tailed
 # data can push a family's posterior mode to very large lambda (a large
 # shift constant compresses the relative range of the shifted data), so the
 # real-scale limit is generous.
 REAL_LIMIT = (-200.0, 200.0)
-POSITIVE_LIMIT = (1e-12, 200.0)
+LOG_LIMIT = (math.log(1e-12), math.log(200.0))
 # Stop halving the step once the log integral moves by < ABS_TOL.
 ABS_TOL, MAX_HALVINGS = 1e-8, 10
 TAIL_TOL = 1e-12  # endpoint share of the mass below which the window stops growing
@@ -67,8 +67,7 @@ def log_integral(
     init_points: int = 257,
     limits: tuple[float, float] | None = None,
     boundary_lo: bool = False,
-    full_output: bool = False,
-) -> float | LogIntegral:
+) -> LogIntegral:
     """log of the integral of exp(log_f) over [lo, hi].
 
     log_f takes a numpy array of points and is called once per grid. The
@@ -77,7 +76,6 @@ def log_integral(
     endpoint contributions fall below TAIL_TOL of the total mass.
     boundary_lo marks the lower limit as a support boundary where the
     integrand may stay finite without the integral being truncated.
-    With full_output the result is a LogIntegral holding the final grid.
     """
     expansions = 0
     if limits is not None:
@@ -99,9 +97,7 @@ def log_integral(
         total = refined
         if done:
             break
-    if full_output:
-        return LogIntegral(total, xs, vals, expansions, halvings)
-    return total
+    return LogIntegral(total, xs, vals, expansions, halvings)
 
 
 def _expand_window(log_f, lo, hi, limits, boundary_lo):
@@ -131,9 +127,12 @@ def _expand_window(log_f, lo, hi, limits, boundary_lo):
     raise IntegrationFailure("window expansion did not converge")
 
 
-def default_window(positive: bool) -> tuple[float, float]:
-    return POSITIVE_WINDOW if positive else REAL_WINDOW
-
-
-def default_limits(positive: bool) -> tuple[float, float]:
-    return POSITIVE_LIMIT if positive else REAL_LIMIT
+def sampling_integral(log_f: Callable[[np.ndarray], np.ndarray], on_log: bool,
+                      window: tuple[float, float] | None = None) -> LogIntegral:
+    """`log_integral` on a family's sampling scale: lambda, or log lambda when
+    on_log. The window (default: the scale's own) is clipped to the scale's
+    limits; on log lambda the lower limit is the lambda -> 0 boundary."""
+    lim_lo, lim_hi = LOG_LIMIT if on_log else REAL_LIMIT
+    lo, hi = window if window is not None else (LOG_WINDOW if on_log else REAL_WINDOW)
+    return log_integral(log_f, max(lo, lim_lo), min(hi, lim_hi),
+                        limits=(lim_lo, lim_hi), boundary_lo=on_log)

@@ -188,14 +188,20 @@ def dense_posterior_sd(ctx, prior, lo: float, hi: float,
                        n_coarse: int = 2001, n_fine: int = 10001) -> float:
     """Posterior sd of lambda by fixed-grid trapezoid sums of scalar kernel calls.
 
-    A coarse grid over [lo, hi] finds where the log kernel lies within 40
-    nats of its maximum; a fine grid over that region gives the moments.
+    The prior's density is on the sampling scale x; on log lambda it becomes
+    a density of lambda by subtracting log(lambda), so [lo, hi] must then lie
+    in lambda > 0. A coarse grid over [lo, hi] finds where the log kernel lies
+    within 40 nats of its maximum; a fine grid over that region gives the
+    moments.
     """
+    on_log = ctx.family.on_log_scale
+
     def log_kernel(grid):
         out = []
-        for lam in grid:
-            lp = prior.log_density(float(lam))
-            out.append(-math.inf if lp == -math.inf else ctx.loglik(float(lam)) + lp)
+        for lam in map(float, grid):
+            x = math.log(lam) if on_log else lam
+            lp = prior.log_density(x) - (x if on_log else 0.0)
+            out.append(-math.inf if lp == -math.inf else ctx.loglik(lam) + lp)
         return np.array(out)
 
     coarse = np.linspace(lo, hi, n_coarse)

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from transelect import cli
 from transelect.cli import ingest_csv, main
 from transelect.errors import EmptyColumn, ParseError
+from transelect.simulate import analyze_dataset
 
 FAST = ["--burn-in", "300", "--draws", "1000", "--chib-j", "500"]
 
@@ -103,16 +105,30 @@ class TestScenarioCommand:
         assert r1 == r2
         assert (out1 / "report.csv").read_text() == (out2 / "report.csv").read_text()
 
-    def test_dump_chains(self, tmp_path):
+    def test_dump_chains(self, tmp_path, monkeypatch):
+        chains = {}
+
+        def recording(y, prior_kind, cfg, chain_sink=None):
+            def sink(family, chain):
+                chains[family.value] = chain
+                chain_sink(family, chain)
+            return analyze_dataset(y, prior_kind, cfg, chain_sink=sink)
+
+        monkeypatch.setattr(cli, "analyze_dataset", recording)
         out = tmp_path / "out"
         rc = main(["scenario", "--dist", "normal", "--n", "50", "--seed", "4",
-                   "--prior", "b", "--families", "boxcox", "--out", str(out),
+                   "--prior", "b", "--families", "boxcox,dual", "--out", str(out),
                    "--dump-chains"] + FAST)
         assert rc == 0
-        chain_file = out / "chains" / "boxcox_B.csv"
-        rows = list(csv.DictReader(chain_file.open()))
-        assert len(rows) == 1000
-        assert set(rows[0]) == {"iteration", "lambda", "log_posterior"}
+        for family in ("boxcox", "dual"):
+            rows = list(csv.DictReader((out / "chains" / f"{family}_B.csv").open()))
+            assert len(rows) == 1000
+            assert set(rows[0]) == {"iteration", "lambda", "log_posterior"}
+            # under numpy 2, repr of a numpy scalar reads np.float64(...)
+            lam = [float(r["lambda"]) for r in rows]
+            kernel = [float(r["log_posterior"]) for r in rows]
+            assert lam == chains[family].lambda_draws.tolist()
+            assert kernel == chains[family].log_kernel.tolist()
 
     def test_dump_chains_without_chains_warns(self, tmp_path, caplog):
         out = tmp_path / "out"

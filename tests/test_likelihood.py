@@ -74,6 +74,19 @@ class TestMarginalizedLikelihood:
             oracle = brute_force_log_evidence(family, data, lam)
             assert abs(ctx.loglik(lam) - oracle) < 1e-3, family
 
+    @pytest.mark.parametrize("family", [Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON],
+                             ids=lambda f: f.value)
+    def test_linear_next_to_the_branch_point(self, family):
+        # Just outside the 1e-10 branch tolerance, loglik must follow its
+        # tangent at 0; exp(t) - 1 in place of expm1(t) misses it by ~1e-5.
+        for seed in range(10):
+            data = prepare(generate(ScenarioSpec("gamma", 100, seed=seed)))
+            ctx = LikelihoodContext(family, data)
+            base = ctx.loglik(0.0)
+            slope = (ctx.loglik(1e-5) - ctx.loglik(-1e-5)) / 2e-5
+            for lam in (2e-10, -2e-10, 5e-10, -5e-10, 1e-9, -1e-9, 1e-8):
+                assert abs(ctx.loglik(lam) - base - lam * slope) <= 1e-9, (seed, lam)
+
 
 class TestBatchedLikelihood:
     # The branch points lambda = 0 and lambda = 2 (Yeo-Johnson), values on
@@ -189,7 +202,7 @@ class TestRunMh:
         ctx = LikelihoodContext(Family.DUAL, data)
         prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.4)
         chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=4))
-        assert chain.on_log_scale
+        assert chain.family.on_log_scale
         assert np.all(chain.lambda_draws > 0.0)
 
     def test_mode_maximizes_kernel_over_draws(self):

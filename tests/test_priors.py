@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from transelect.errors import NonPositiveCurvature
-from transelect.families import PARAMETRIC_FAMILIES, Family
+from transelect.families import PARAMETRIC_FAMILIES, Family, prepare
+from transelect.likelihood import LikelihoodContext, log_sampling_kernel
 from transelect.priors import (DualAnchor, ImaginaryData, UnitInfoPrior,
                                build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, fisher_scale,
                                log_power_prior_kernel, make_imaginary,
                                power_prior_log_norm_const)
-from transelect.quadrature import default_limits, default_window, log_integral
+from transelect.quadrature import REAL_LIMIT, REAL_WINDOW, log_integral, sampling_integral
 
 from _oracles import fd_fisher_scale
 
@@ -58,8 +59,8 @@ class TestPowerPriorKernel:
     def test_grid_refinement_stability(self):
         img = make_imaginary(n_star=60, seed=5)
         kern = lambda lam: log_power_prior_kernel(Family.MODULUS, img, lam)
-        coarse = log_integral(kern, -5.0, 7.0, init_points=129)
-        fine = log_integral(kern, -5.0, 7.0, init_points=257)
+        coarse = log_integral(kern, -5.0, 7.0, init_points=129).value
+        fine = log_integral(kern, -5.0, 7.0, init_points=257).value
         assert abs(coarse - fine) < 1e-4 * abs(fine)
 
     def test_boxcox_argmax_near_one(self):
@@ -74,17 +75,17 @@ class TestPowerPriorNormConst:
         img = make_imaginary(n_star=60, seed=5)
         base = power_prior_log_norm_const(Family.BOXCOX, img)
         kern = lambda lam: log_power_prior_kernel(Family.BOXCOX, img, lam)
-        lo, hi = default_window(False)
+        lo, hi = REAL_WINDOW
         doubled = log_integral(kern, lo, hi, init_points=513,
-                               limits=default_limits(False))
+                               limits=REAL_LIMIT).value
         assert abs(base - doubled) < 1e-6
 
     def test_constant_multiple_shifts_exactly(self):
         img = make_imaginary(n_star=60, seed=5)
         kern = lambda lam: log_power_prior_kernel(Family.YEOJOHNSON, img, lam)
         c = 3.7
-        base = log_integral(kern, -5.0, 7.0)
-        shifted = log_integral(lambda lam: kern(lam) + c, -5.0, 7.0)
+        base = log_integral(kern, -5.0, 7.0).value
+        shifted = log_integral(lambda lam: kern(lam) + c, -5.0, 7.0).value
         assert abs(shifted - (base + c)) < 1e-12
 
     def test_deterministic_across_runs(self):
@@ -96,11 +97,7 @@ class TestPowerPriorNormConst:
         img = make_imaginary(n_star=100, seed=1)
         for family in PARAMETRIC_FAMILIES:
             prior = build_power_prior(family, img)
-            positive = family is Family.DUAL
-            lo, hi = default_window(positive)
-            total = log_integral(prior.log_density, lo, hi,
-                                 limits=default_limits(positive),
-                                 boundary_lo=positive)
+            total = sampling_integral(prior.log_density, family.on_log_scale).value
             assert abs(total) < 1e-4, family
 
 
@@ -184,20 +181,33 @@ class TestPriorDensities:
 
     def test_lognormal_integrates_to_one(self):
         prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.45)
-        total = log_integral(prior.log_density, 1e-8, 30.0,
-                             limits=(1e-12, 500.0), boundary_lo=True)
+        total = sampling_integral(prior.log_density, True).value
         assert abs(total) < 1e-6
 
-    def test_lognormal_zero_outside_support(self):
-        prior = UnitInfoPrior(Family.DUAL, location=0.0, scale=0.4)
-        assert prior.log_density(-1.0) == -math.inf
-        assert prior.log_density(0.0) == -math.inf
+    def test_dual_kernel_minus_inf_where_lambda_underflows(self):
+        # e^x is 0 at x = -800, outside Dual's lambda > 0, though the prior
+        # densities on x are finite there
+        data = prepare(np.random.default_rng(4).normal(size=60))
+        ctx = LikelihoodContext(Family.DUAL, data)
+        img = make_imaginary(n_star=60, seed=4)
+        for prior in (UnitInfoPrior(Family.DUAL, location=0.0, scale=0.4),
+                      build_power_prior(Family.DUAL, img)):
+            assert log_sampling_kernel(ctx, prior, -800.0) == -math.inf
+            got = log_sampling_kernel(ctx, prior, np.array([-800.0, 0.0]))
+            assert got[0] == -math.inf and math.isfinite(got[1])
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.0)
         with pytest.raises(ValueError):
             UnitInfoPrior(Family.BOXCOX, location=1.0, scale=math.inf)
+
+    def test_kind_is_fixed_by_the_class(self):
+        img = make_imaginary(n_star=60, seed=5)
+        prior = build_power_prior(Family.BOXCOX, img)
+        assert (prior.kind, UnitInfoPrior(Family.BOXCOX, 1.0, 0.5).kind) == ("A", "B")
+        with pytest.raises(TypeError):
+            UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5, kind="A")
 
 
 class TestBuildUnitInfoPrior:
@@ -206,9 +216,9 @@ class TestBuildUnitInfoPrior:
         anchor = estimate_dual_anchor(img)
         for family in (Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON):
             prior = build_unit_info_prior(family, img)
-            assert prior.location == 1.0 and not prior.on_log_scale
+            assert prior.location == 1.0 and not prior.family.on_log_scale
         dual = build_unit_info_prior(Family.DUAL, img, anchor=anchor)
-        assert dual.on_log_scale
+        assert dual.family.on_log_scale
         assert abs(dual.location - math.log(anchor.value)) < 1e-12
 
     def test_shared_imaginary_across_families(self):

@@ -10,7 +10,7 @@ from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepa
 from transelect.likelihood import LikelihoodContext, MhConfig
 from transelect.priors import (build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
-from transelect.quadrature import default_window
+from transelect.quadrature import REAL_WINDOW
 from transelect.simulate import (AnalysisConfig, ScenarioSpec, SweepSpec,
                                  analyze_dataset, gamma_params_for_skewness,
                                  generate, run_scenario, run_sweep)
@@ -126,9 +126,8 @@ class TestQuadratureOnlyAnalysis:
                 prior = build_power_prior(family, imaginary)
             else:
                 prior = build_unit_info_prior(family, imaginary, anchor=anchor)
-            lo, hi = default_window(family is Family.DUAL)
-            oracle = dense_posterior_sd(LikelihoodContext(family, data), prior,
-                                        max(lo, 1e-6) if family is Family.DUAL else lo, hi)
+            lo, hi = (1e-6, 20.0) if family is Family.DUAL else REAL_WINDOW
+            oracle = dense_posterior_sd(LikelihoodContext(family, data), prior, lo, hi)
             got = report.result_for(family).lambda_sd
             assert abs(got - oracle) < 1e-4 * oracle, (family, got, oracle)
 
@@ -164,6 +163,12 @@ class TestRunSetup:
     def test_binary_data_is_degenerate_data(self, prior_kind):
         with pytest.raises(DegenerateData, match="3 distinct values, got 2"):
             analyze_dataset(np.tile([0.0, 1.0], 20), prior_kind, AnalysisConfig(**self.QUAD))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_data_is_degenerate_data(self, bad):
+        with pytest.raises(DegenerateData, match="non-finite"):
+            analyze_dataset(np.array([1.0, 2.0, 3.0, bad] * 5), "A",
+                            AnalysisConfig(**self.QUAD))
 
     def test_explicit_small_n_star_is_value_error(self):
         y = generate(ScenarioSpec("normal", 50, seed=3))
