@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError
+from .errors import DegenerateData
 
 # Dual's lambda taken as 'no transformation' when the imaginary data give no
 # interior maximum; also where MH starts a Dual chain.
@@ -44,22 +44,12 @@ class Family(Enum):
         e^x where `on_log_scale`, else x itself."""
         return np.exp(x) if self.on_log_scale else x
 
-    @property
-    def lambda_domain(self) -> tuple[float, float] | None:
-        if not self.has_lambda:
-            return None
+    def in_domain(self, lam):
+        """Whether lam, a float or a numpy array (elementwise), lies in the
+        family's parameter domain: finite, and positive for Dual."""
         if self is Family.DUAL:
-            return (0.0, math.inf)
-        return (-math.inf, math.inf)
-
-    def check_lambda(self, lam: float) -> float:
-        dom = self.lambda_domain
-        if dom is None:
-            return lam
-        lo, hi = dom
-        if not (lo < lam < hi) or not math.isfinite(lam):
-            raise DomainError(f"lambda={lam} outside domain {dom} of {self.value}")
-        return lam
+            return (0.0 < lam) & (lam < math.inf)
+        return abs(lam) < math.inf
 
 
 PARAMETRIC_FAMILIES = (Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON, Family.DUAL)

@@ -9,11 +9,15 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from .errors import DegenerateTransform, MixingFailure, NonPositiveInput
+from .errors import DegenerateTransform, DomainError, MixingFailure, NonPositiveInput
 from .families import DUAL_ANCHOR_DEFAULT, Family, PreparedData
 
 # Below this distance from a removable singularity the closed-form branch is used.
 _BRANCH_TOL = 1e-10
+
+# Exponents t beyond this are scaled by one factor e^-s per lambda, with
+# s = max(0, max t - _CAP), so that n squared scaled values have a finite sum.
+_CAP = 300.0
 
 # Elements per block of a batched evaluation: 32768 // n lambdas at a time
 # keeps the (k, n) temporaries near 256 KB each, so peak memory does not grow
@@ -21,22 +25,27 @@ _BRANCH_TOL = 1e-10
 _BLOCK_ELEMENTS = 32768
 
 
-def _log_constant(n: int) -> float:
-    # Exact normalizer from integrating out location/scale under the 1/sigma^2 prior.
-    return float(gammaln((n - 1) / 2.0) - (n - 1) / 2.0 * math.log(math.pi)
-                 - 0.5 * math.log(n))
+def _any(x) -> bool:
+    # A float is tested without numpy, whose reductions cost microseconds.
+    return x.any() if isinstance(x, np.ndarray) else bool(x)
 
 
-def _ratio(f, log_x, lam):
-    """f(lam * log_x) / lam, or its limit log_x where |lam| < _BRANCH_TOL.
+def _ratio(num, log_x, mu):
+    """num / mu, or its limit log_x where |mu| < _BRANCH_TOL, for a float mu
+    or a (k, 1) column of them and a (k, n) num, which this may overwrite."""
+    near = abs(mu) < _BRANCH_TOL
+    if not _any(near):
+        return np.divide(num, mu, out=num)
+    return np.where(near, log_x, num / np.where(near, 1.0, mu))
 
-    lam is a float, or a column of k values (shape (k, 1)) for which the
-    result has shape (k, n).
-    """
-    if not isinstance(lam, np.ndarray):
-        return log_x if abs(lam) < _BRANCH_TOL else f(lam * log_x) / lam
-    near = np.abs(lam) < _BRANCH_TOL
-    return np.where(near, log_x, f(lam * log_x) / np.where(near, 1.0, lam))
+
+def _expm1_scaled(t, s):
+    """e^-s expm1(t), with one s per row of t, computed in t's own memory:
+    allocating (k, n) blocks costs more than the arithmetic."""
+    if not _any(s):
+        return np.expm1(t, out=t)
+    t -= s
+    return np.subtract(np.expm1(t, out=t), np.expm1(-s), out=t)
 
 
 def _ratio_derivatives(f, df, d2f, log_x, lam: float):
@@ -52,18 +61,17 @@ class LikelihoodContext:
     """Per-(family, dataset) cache for fast repeated likelihood evaluation.
 
     log f(y | lambda, T) = C(n) - ((n-1)/2) log SS(lambda) + log|J(lambda)|
-    with SS the centered sum of squares of the transformed data. C(n) is
-    common to every family; the prior builders drop it.
-    Raises NonPositiveInput when a family that requires the shift gets
-    shifted data that are not strictly positive.
-    """
+    with SS the centered sum of squares of the transformed data, taken from
+    scaled values so that it never overflows (see `_scaled`). Raises
+    NonPositiveInput when a family that requires the shift gets shifted data
+    that are not strictly positive."""
 
-    def __init__(self, family: Family, data: PreparedData,
-                 include_constant: bool = True):
+    def __init__(self, family: Family, data: PreparedData):
         self.family = family
-        self.data = data
-        self.n = data.n
-        self.constant = _log_constant(self.n) if include_constant else 0.0
+        n = self.n = data.n
+        # C(n), exact from integrating out location/scale under the 1/sigma^2 prior
+        self.constant = float(gammaln((n - 1) / 2.0) - (n - 1) / 2.0 * math.log(math.pi)
+                              - 0.5 * math.log(n))
 
         if family.requires_shift:
             v = data.shifted()
@@ -72,51 +80,81 @@ class LikelihoodContext:
                     f"{family.value} requires strictly positive input after shifting")
             self._logv = np.log(v)
             self._sum = float(self._logv.sum())
-        else:
+            self._log_min, self._log_max = float(self._logv.min()), float(self._logv.max())
+        elif family.has_lambda:
+            # sign(y) log(1 + |y|), the non-negative observations first
             y = data.standardized
-            if family is Family.MODULUS:
-                self._sign = np.where(y >= 0.0, 1.0, -1.0)
-                self._logu = np.log(np.abs(y) + 1.0)
-                self._sum = float(self._logu.sum())
-            elif family is Family.YEOJOHNSON:
-                pos = y >= 0.0
-                self._logu_pos = np.log(y[pos] + 1.0)
-                self._logu_neg = np.log(1.0 - y[~pos])
-                self._sum = float(self._logu_pos.sum()) - float(self._logu_neg.sum())
-            else:
-                self._y = y
+            pos = y >= 0.0
+            self._logu = np.log(y[pos] + 1.0), -np.log(1.0 - y[~pos])
+            self._logu_max = tuple(float(np.abs(L).max(initial=0.0)) for L in self._logu)
+            sign = -1.0 if family is Family.MODULUS else 1.0
+            self._sum = float(self._logu[0].sum()) + sign * float(self._logu[1].sum())
+        else:
+            self._y = data.standardized
         if not family.has_lambda:
-            self._fixed = self._evaluate(0.0)
+            self._fixed = float(self._score(0.0))
 
-    def transform(self, lam=0.0):
-        """(z, log|J|): the transformed data and the log-Jacobian at lam.
-
-        Every formula broadcasts over lambda: a float gives z of shape (n,)
-        and a float log|J|; a column of k lambdas (shape (k, 1)) gives (k, n)
-        and k log|J| values. lam is ignored for Id and Log and is not checked
-        against the family's domain. Yeo-Johnson lists the non-negative
-        observations first, then the negative ones, each in data order.
-        """
+    def _scaled(self, lam, centre: bool = True):
+        """(u, s, log|J|) at lam, a float or a (k, 1) column that gives (k, n)
+        u and columns s and log|J|. The transformed data are e^s u plus a
+        constant per lambda. Each value is f(t) / mu with t = mu L, L a cached
+        log, f(t) = e^t - 1 (sinh for Dual) and mu = lam, except for the
+        negative observations of Modulus (mu = -lam) and Yeo-Johnson (mu =
+        lam - 2), which these two list last with L = -log(1 - y).
+        Box-Cox drops its constant -1/lam: u = expm1(t - s) / lam with s =
+        max t (0 near lam = 0, or without centre) neither overflows nor
+        collapses onto one value. The other families' constants differ by
+        sign or branch and stay; their s = max(0, max t - _CAP)."""
         fam = self.family
         if fam is Family.ID:
-            return self._y, 0.0
+            return self._y, 0.0, 0.0
         if fam is Family.LOG:
-            return self._logv, -self._sum
-        if fam is Family.BOXCOX:
-            return _ratio(np.expm1, self._logv, lam), (lam - 1.0) * self._sum
-        if fam is Family.MODULUS:
-            return (self._sign * _ratio(np.expm1, self._logu, lam),
-                    (lam - 1.0) * self._sum)
-        if fam is Family.YEOJOHNSON:
-            zp = _ratio(np.expm1, self._logu_pos, lam)
-            zn = -_ratio(np.expm1, self._logu_neg, 2.0 - lam)
-            return np.concatenate([zp, zn], axis=-1), (lam - 1.0) * self._sum
+            return self._logv, 0.0, -self._sum
         if fam is Family.DUAL:
-            logv = self._logv
-            lj = (np.logaddexp((lam - 1.0) * logv, (-lam - 1.0) * logv)
-                  - math.log(2.0)).sum(axis=-1)
-            return _ratio(np.sinh, logv, lam), lj
-        raise AssertionError(fam)
+            t = lam * self._logv
+            # log cosh t = |t| + log1p(e^-2|t|) - log 2, which cannot overflow
+            a = np.abs(t)
+            a += np.log1p(np.exp(-2.0 * a))
+            lj = a.sum(axis=-1, keepdims=t.ndim > 1) - self.n * math.log(2.0) - self._sum
+            m = abs(lam) * max(-self._log_min, self._log_max)
+            s = (m > _CAP) * (m - _CAP)
+            num = _expm1_scaled(-t, s)
+            num -= _expm1_scaled(t, s)
+            num *= -0.5  # e^-s sinh(t)
+            return _ratio(num, self._logv, lam), s, lj
+        lj = (lam - 1.0) * self._sum
+        if fam is Family.BOXCOX:
+            t = lam * self._logv
+            s = (np.maximum(lam * self._log_min, lam * self._log_max)
+                 * (abs(lam) >= _BRANCH_TOL)) if centre else 0.0
+            t -= s
+            return _ratio(np.expm1(t, out=t), self._logv, lam), s, lj
+        mu = -lam if fam is Family.MODULUS else lam - 2.0
+        (lp, ln), (mp, mn) = self._logu, self._logu_max
+        a, b = lam * mp, -mu * mn
+        m = 0.5 * (a + b + abs(a - b))  # max(a, b), with no numpy call for a float
+        s = (m > _CAP) * (m - _CAP)
+        un = _ratio(_expm1_scaled(mu * ln, s), ln, mu)
+        return np.concatenate([_ratio(_expm1_scaled(lam * lp, s), lp, lam), un],
+                              axis=-1), s, lj
+
+    def _score(self, lam):
+        """log f(y | lam, T) at a float, or a column of them at a (k, 1) column."""
+        u, s, lj = self._scaled(lam)
+        d = u - u.sum(axis=-1, keepdims=True) / self.n
+        ss = np.square(d, out=d).sum(axis=-1, keepdims=u.ndim > 1)
+        if _any(ss <= 0.0):
+            raise DegenerateTransform(
+                f"transformed data have zero variance ({self.family.value}, "
+                f"lam={np.broadcast_to(lam, ss.shape)[ss <= 0.0][0]})")
+        return self.constant - (self.n - 1) / 2.0 * (2.0 * s + np.log(ss)) + lj
+
+    def transform(self, lam=0.0):
+        """(z, log|J|): the transformed data and the log-Jacobian at lam, a
+        float or a (k, 1) column as in `_scaled`, whose order z follows. lam
+        is ignored for Id and Log and is not checked against the domain."""
+        u, s, lj = self._scaled(lam, centre=False)
+        return np.exp(s) * u, lj
 
     def transform_derivatives(self, lam: float):
         """(z, dz, d2z, d2 log|J|) at lam, for a family with a parameter.
@@ -133,64 +171,39 @@ class LikelihoodContext:
             # chain rule for x = log lambda: d/dx = lam d/dlam
             return (z, lam * dz, lam ** 2 * d2z + lam * dz,
                     float(np.sum(t * np.tanh(t) + (t / np.cosh(t)) ** 2)))
+        if not fam.has_lambda:
+            raise ValueError(f"{fam.value} has no transformation parameter")
         g = functools.partial(_ratio_derivatives, np.expm1, np.exp, np.exp)
         if fam is Family.BOXCOX:
             return (*g(self._logv, lam), 0.0)
-        if fam is Family.MODULUS:
-            return (*(self._sign * d for d in g(self._logu, lam)), 0.0)
-        if fam is Family.YEOJOHNSON:
-            zp, dzp, d2zp = g(self._logu_pos, lam)
-            # the negative branch is -g(2 - lam): dz keeps g's sign, d2z flips it
-            zn, dzn, d2zn = g(self._logu_neg, 2.0 - lam)
-            return (np.concatenate([zp, -zn]), np.concatenate([dzp, dzn]),
-                    np.concatenate([d2zp, -d2zn]), 0.0)
-        raise ValueError(f"{fam.value} has no transformation parameter")
-
-    def _evaluate(self, lam: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z, lj = self.transform(lam)
-            ss = float(np.sum((z - z.mean()) ** 2))
-        if not math.isfinite(ss) or not math.isfinite(lj):
-            return -math.inf
-        if ss <= 0.0:
-            raise DegenerateTransform(
-                f"transformed data have zero variance ({self.family.value}, lam={lam})")
-        return self.constant - (self.n - 1) / 2.0 * math.log(ss) + float(lj)
+        # the negative observations' g(mu), with mu as in `_scaled`
+        mu, dmu = (-lam, -1.0) if fam is Family.MODULUS else (lam - 2.0, 1.0)
+        zp, dzp, d2zp = g(self._logu[0], lam)
+        zn, dzn, d2zn = g(self._logu[1], mu)
+        return (np.concatenate([zp, zn]), np.concatenate([dzp, dmu * dzn]),
+                np.concatenate([d2zp, d2zn]), 0.0)
 
     def loglik(self, lam: float = 0.0) -> float:
-        """log f(y | lambda, T); lambda is ignored for Id and Log."""
-        if self.family in (Family.ID, Family.LOG):
+        """log f(y | lambda, T); lambda is ignored for Id and Log. Raises
+        DomainError outside the family's domain."""
+        if not self.family.has_lambda:
             return self._fixed
-        self.family.check_lambda(lam)
-        return self._evaluate(lam)
+        if not self.family.in_domain(lam):
+            raise DomainError(f"lambda={lam} outside the domain of {self.family.value}")
+        return float(self._score(lam))
 
     def loglik_batch(self, lams: np.ndarray) -> np.ndarray:
-        """`loglik` at every lambda of a 1-D array, in blocks of k lambdas.
-
-        Where `loglik` raises DomainError, this gives -inf; it raises
-        DegenerateTransform as `loglik` does.
-        """
+        """`loglik` at every lambda of a 1-D array, in blocks of k lambdas:
+        -inf where `loglik` raises DomainError."""
         lams = np.asarray(lams, dtype=float)
         if not self.family.has_lambda:
             return np.full(lams.shape, self._fixed)
         out = np.full(lams.shape, -np.inf)
-        lo, hi = self.family.lambda_domain
-        inside = np.flatnonzero((lo < lams) & (lams < hi))
+        inside = np.flatnonzero(self.family.in_domain(lams))
         k = max(1, _BLOCK_ELEMENTS // self.n)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, inside.size, k):
-                idx = inside[start:start + k]
-                z, lj = self.transform(lams[idx, None])
-                ss = np.sum((z - z.mean(axis=1, keepdims=True)) ** 2, axis=1)
-                lj = np.reshape(lj, -1)
-                ok = np.isfinite(ss) & np.isfinite(lj)
-                degenerate = ok & (ss <= 0.0)
-                if degenerate.any():
-                    raise DegenerateTransform(
-                        f"transformed data have zero variance ({self.family.value}, "
-                        f"lam={lams[idx[degenerate][0]]})")
-                out[idx[ok]] = (self.constant - (self.n - 1) / 2.0 * np.log(ss[ok])
-                                + lj[ok])
+        for start in range(0, inside.size, k):
+            idx = inside[start:start + k]
+            out[idx] = self._score(lams[idx, None])[:, 0]
         return out
 
 
@@ -205,8 +218,7 @@ def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
     lam = ctx.family.to_lambda(x)
     if isinstance(x, np.ndarray):
         return ctx.loglik_batch(lam) + prior.log_density(x)
-    lo, hi = ctx.family.lambda_domain
-    if not (lo < lam < hi):
+    if not ctx.family.in_domain(lam):
         return -math.inf
     lp = prior.log_density(x)
     if lp == -math.inf:
@@ -218,11 +230,12 @@ def refine_mode(kernel, best: float, best_kernel: float,
                 bounds: tuple[float, float]) -> float:
     """Kernel argmax near `best`, a draw or grid point scoring `best_kernel`.
 
-    A bounded Brent search refines it; `best` is kept unless the search does
-    at least as well.
+    A bounded Brent search, which sees the kernel floored 1000 nats below
+    `best_kernel` so that no -inf enters its differences, refines it; `best`
+    is kept unless the search does at least as well.
     """
-    res = minimize_scalar(lambda v: -kernel(v), bounds=bounds, method="bounded",
-                          options={"xatol": 1e-8})
+    res = minimize_scalar(lambda v: -max(kernel(v), best_kernel - 1e3), bounds=bounds,
+                          method="bounded", options={"xatol": 1e-8})
     return float(res.x) if -res.fun >= best_kernel else best
 
 

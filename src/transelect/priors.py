@@ -36,10 +36,8 @@ class ImaginaryData:
         return 1.0 / self.n_star
 
     def context(self, family: Family) -> LikelihoodContext:
-        # Constants are dropped: they cancel in every normalized density built here.
         if family not in self._contexts:
-            self._contexts[family] = LikelihoodContext(
-                family, self.prepared, include_constant=False)
+            self._contexts[family] = LikelihoodContext(family, self.prepared)
         return self._contexts[family]
 
 
@@ -93,8 +91,7 @@ def estimate_dual_anchor(imaginary: ImaginaryData) -> DualAnchor:
                           method="bounded", options={"xatol": 1e-6})
     lam = float(res.x)
     # a solution stuck at either bound means no interior maximum was bracketed
-    if (not res.success or not math.isfinite(res.fun)
-            or lam < 100.0 * lo or lam > 0.99 * hi):
+    if not res.success or lam < 100.0 * lo or lam > 0.99 * hi:
         return DualAnchor(DUAL_ANCHOR_DEFAULT, from_fallback=True)
     return DualAnchor(lam)
 

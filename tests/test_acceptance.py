@@ -202,7 +202,7 @@ def test_criterion_9_small_n_brute_force():
     }
     worst = 0.0
     for family in ALL_FAMILIES:
-        ctx = LikelihoodContext(family, data, include_constant=True)
+        ctx = LikelihoodContext(family, data)
         for lam in lam_grid[family]:
             oracle = brute_force_log_evidence(family, data, lam)
             worst = max(worst, abs(ctx.loglik(lam) - oracle))

@@ -209,20 +209,6 @@ class TestPosteriorModelProbs:
                                        prob_method=QUADRATURE)
         assert report.ranking == list(ALL_FAMILIES)
 
-    def test_rank_invariance_under_constant_toggle(self):
-        data = _normal_dataset(seed=3)
-        logs_with = []
-        logs_without = []
-        for family in ALL_FAMILIES:
-            lam = 1.0 if family is not Family.DUAL else 1.2
-            logs_with.append(LikelihoodContext(family, data, True).loglik(lam))
-            logs_without.append(LikelihoodContext(family, data, False).loglik(lam))
-        r1 = posterior_model_probs(_results_from_logs(logs_with), "A",
-                                   prob_method=QUADRATURE)
-        r2 = posterior_model_probs(_results_from_logs(logs_without), "A",
-                                   prob_method=QUADRATURE)
-        assert r1.ranking == r2.ranking
-
     def test_serialization_shapes(self):
         rng = np.random.default_rng(4)
         report = posterior_model_probs(

@@ -251,6 +251,11 @@ class TestFamilyMetadata:
         assert shifted == {Family.LOG, Family.BOXCOX, Family.DUAL}
 
     def test_lambda_domains(self):
-        assert Family.ID.lambda_domain is None
-        assert Family.DUAL.lambda_domain == (0.0, math.inf)
-        assert Family.BOXCOX.lambda_domain == (-math.inf, math.inf)
+        assert Family.DUAL.in_domain(0.5) and not Family.DUAL.in_domain(0.0)
+        assert Family.BOXCOX.in_domain(-3.0) and not Family.BOXCOX.in_domain(math.inf)
+        lams = np.array([-1.0, 0.0, 0.5, math.inf, -math.inf, math.nan])
+        np.testing.assert_array_equal(Family.DUAL.in_domain(lams),
+                                      [False, False, True, False, False, False])
+        for family in (Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON):
+            np.testing.assert_array_equal(family.in_domain(lams),
+                                          [True, True, True, False, False, False])
