@@ -10,8 +10,7 @@ from .evidence import (EvidenceEstimate, FamilyResult, SelectionReport,
                        posterior_model_probs)
 from .families import (ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, PreparedData,
                        compute_shift, prepare, standardize)
-from .likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                         posterior_summary, run_mh)
+from .likelihood import LikelihoodContext, MhConfig, PosteriorChain, run_mh
 from .priors import (DualAnchor, ImaginaryData, PowerPrior, UnitInfoPrior,
                      build_power_prior, build_unit_info_prior,
                      estimate_dual_anchor, fisher_scale, log_power_prior_kernel,

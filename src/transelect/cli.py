@@ -214,9 +214,9 @@ def _echo_common(args) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", choices=["a", "b", "both"], default="both")
     p.add_argument("--families", default=",".join(f.value for f in ALL_FAMILIES))
-    p.add_argument("--burn-in", type=int, default=4000, dest="burn_in")
-    p.add_argument("--draws", type=int, default=16000)
-    p.add_argument("--chib-j", type=int, default=2000, dest="chib_j")
+    p.add_argument("--burn-in", type=int, default=MhConfig.burn_in, dest="burn_in")
+    p.add_argument("--draws", type=int, default=MhConfig.draws)
+    p.add_argument("--chib-j", type=int, default=AnalysisConfig.chib_draws, dest="chib_j")
     p.add_argument("--nstar", type=int, default=None)
     p.add_argument("--imaginary", choices=["simulated", "empirical"],
                    default="simulated")

@@ -6,11 +6,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import InconsistentEvidence, OrdinateUnderflow
 from .families import ALL_FAMILIES, Family
-from .likelihood import (LikelihoodContext, PosteriorChain, log_sampling_kernel,
-                         refine_mode)
+from .likelihood import LikelihoodContext, PosteriorChain, log_sampling_kernel
 from .quadrature import sampling_integral
 
 CHIB = "chib"
@@ -87,14 +87,32 @@ def evidence_laplace_metropolis(ctx: LikelihoodContext, prior,
         diagnostics={"lambda_star": chain.lambda_mode, "posterior_var": var})
 
 
+def _sd(w: np.ndarray, v: np.ndarray) -> float:
+    """sd of v under the normalized weights w."""
+    return math.sqrt(float(w @ (v - w @ v) ** 2))
+
+
+def refine_mode(kernel, best: float, best_kernel: float,
+                bounds: tuple[float, float]) -> float:
+    """Kernel argmax near `best`, a grid point scoring `best_kernel`.
+
+    A bounded Brent search, which sees the kernel floored 1000 nats below
+    `best_kernel` so that no -inf enters its differences, refines it; `best`
+    is kept unless the search does at least as well.
+    """
+    res = minimize_scalar(lambda v: -max(kernel(v), best_kernel - 1e3), bounds=bounds,
+                          method="bounded", options={"xatol": 1e-8})
+    return float(res.x) if -res.fun >= best_kernel else best
+
+
 def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
     """Direct numerical integration of likelihood times prior over lambda.
 
-    The integral runs on the family's sampling scale (see log_sampling_kernel),
+    The integral runs on the family's sampling scale x (see log_sampling_kernel),
     where a log-scale posterior is smooth up to the lambda -> 0 boundary. The
-    final grid holds the posterior of lambda; its diagnostics give the
-    posterior sd from the trapezoid weights and the mode as run_mh defines a
-    chain's: the kernel's argmax on the sampling scale, refined.
+    final grid holds the exact posterior. Its diagnostics summarize it on x
+    and on lambda: the mode, the grid argmax refined by `refine_mode`, and the
+    sd from the trapezoid weights.
     """
     family = ctx.family
     window = None
@@ -110,7 +128,6 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
 
     w = grid.weights()
     lam = family.to_lambda(grid.xs)
-    mean = float(w @ lam)
     i = int(np.argmax(grid.log_vals))
     best = float(grid.xs[i])
     mode = refine_mode(kernel, best, kernel(best),
@@ -121,8 +138,9 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
         diagnostics={"window": [float(lam[0]), float(lam[-1])],
                      "expansions": grid.expansions, "halvings": grid.halvings,
                      "grid_points": int(grid.xs.size),
+                     "x_mode": mode, "x_sd": _sd(w, grid.xs),
                      "lambda_mode": float(family.to_lambda(mode)),
-                     "lambda_sd": math.sqrt(float(w @ (lam - mean) ** 2))})
+                     "lambda_sd": _sd(w, lam)})
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DegenerateData
 
 # Dual's lambda taken as 'no transformation' when the imaginary data give no
-# interior maximum; also where MH starts a Dual chain.
+# interior maximum.
 DUAL_ANCHOR_DEFAULT = 1.2
 
 

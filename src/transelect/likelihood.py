@@ -6,11 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .errors import DegenerateTransform, DomainError, MixingFailure, NonPositiveInput
-from .families import DUAL_ANCHOR_DEFAULT, Family, PreparedData
+from .families import Family, PreparedData
 
 # Below this distance from a removable singularity the closed-form branch is used.
 _BRANCH_TOL = 1e-10
@@ -28,6 +27,11 @@ _BLOCK_ELEMENTS = 32768
 def _any(x) -> bool:
     # A float is tested without numpy, whose reductions cost microseconds.
     return x.any() if isinstance(x, np.ndarray) else bool(x)
+
+
+def _max(a, b):
+    """max(a, b) for floats or columns of them, with no numpy call for a float."""
+    return 0.5 * (a + b + abs(a - b))
 
 
 def _ratio(num, log_x, mu):
@@ -125,14 +129,13 @@ class LikelihoodContext:
         lj = (lam - 1.0) * self._sum
         if fam is Family.BOXCOX:
             t = lam * self._logv
-            s = (np.maximum(lam * self._log_min, lam * self._log_max)
+            s = (_max(lam * self._log_min, lam * self._log_max)
                  * (abs(lam) >= _BRANCH_TOL)) if centre else 0.0
             t -= s
             return _ratio(np.expm1(t, out=t), self._logv, lam), s, lj
         mu = -lam if fam is Family.MODULUS else lam - 2.0
         (lp, ln), (mp, mn) = self._logu, self._logu_max
-        a, b = lam * mp, -mu * mn
-        m = 0.5 * (a + b + abs(a - b))  # max(a, b), with no numpy call for a float
+        m = _max(lam * mp, -mu * mn)
         s = (m > _CAP) * (m - _CAP)
         un = _ratio(_expm1_scaled(mu * ln, s), ln, mu)
         return np.concatenate([_ratio(_expm1_scaled(lam * lp, s), lp, lam), un],
@@ -226,25 +229,15 @@ def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
     return ctx.loglik(lam) + lp
 
 
-def refine_mode(kernel, best: float, best_kernel: float,
-                bounds: tuple[float, float]) -> float:
-    """Kernel argmax near `best`, a draw or grid point scoring `best_kernel`.
-
-    A bounded Brent search, which sees the kernel floored 1000 nats below
-    `best_kernel` so that no -inf enters its differences, refines it; `best`
-    is kept unless the search does at least as well.
-    """
-    res = minimize_scalar(lambda v: -max(kernel(v), best_kernel - 1e3), bounds=bounds,
-                          method="bounded", options={"xatol": 1e-8})
-    return float(res.x) if -res.fun >= best_kernel else best
+# Proposal sd per posterior sd: about 44% acceptance for a Gaussian target in
+# one dimension (Gelman, Roberts & Gilks 1996).
+PROPOSAL_SCALE = 2.38
 
 
 @dataclass
 class MhConfig:
     burn_in: int = 4000
     draws: int = 16000
-    initial_step: float = 0.5
-    target_accept: tuple[float, float] = (0.3, 0.5)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -252,10 +245,6 @@ class MhConfig:
             raise ValueError("burn_in must be non-negative")
         if self.draws < 1000:
             raise ValueError("draws must be at least 1000")
-        if not (0.0 < self.target_accept[0] < self.target_accept[1] < 1.0):
-            raise ValueError("target_accept must be a subinterval of (0, 1)")
-        if self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -266,8 +255,8 @@ class PosteriorChain:
     draws: np.ndarray            # sampling scale
     log_kernel: np.ndarray       # log posterior kernel at each draw
     accept_rate: float
-    step_sd: float               # tuned proposal sd, sampling scale (sqrt of k*)
-    mode: float                  # refined kernel argmax, sampling scale
+    step_sd: float               # fixed proposal sd, sampling scale (sqrt of k*)
+    mode: float                  # the start: the posterior mode, sampling scale
 
     @property
     def lambda_draws(self) -> np.ndarray:
@@ -278,63 +267,36 @@ class PosteriorChain:
         return float(self.family.to_lambda(self.mode))
 
 
-def run_mh(ctx, prior, cfg: MhConfig) -> PosteriorChain:
-    """Adaptive Gaussian random-walk Metropolis-Hastings for the transformation parameter.
-
-    A family on the log scale is sampled on log lambda, so proposals never
-    leave the positive axis. The proposal sd follows a Robbins-Monro recursion
-    toward the midpoint of cfg.target_accept during burn-in and is frozen
-    afterwards. A start where the kernel is -inf accepts the first proposal
-    where it is finite.
+def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float) -> PosteriorChain:
+    """Gaussian random-walk Metropolis-Hastings for the transformation parameter,
+    on the family's sampling scale (log lambda for a family on the log scale,
+    so proposals stay positive). The chain starts at `start`, the posterior
+    mode that it reports as `mode`, and proposes with the fixed sd `step_sd`;
+    the first cfg.burn_in draws are discarded. Raises ValueError where the
+    kernel is -inf at `start` and MixingFailure when the post-burn-in
+    acceptance is outside [0.05, 0.95].
     """
     family = ctx.family
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
+    x, k = start, kernel(start)
+    if k == -math.inf:
+        raise ValueError(f"{family.value}: the posterior kernel is -inf at x={start}")
 
     rng = np.random.default_rng(cfg.seed)
-    x = math.log(DUAL_ANCHOR_DEFAULT) if family.on_log_scale else 1.0
-    k = kernel(x)
-    target = 0.5 * (cfg.target_accept[0] + cfg.target_accept[1])
-    log_step = math.log(cfg.initial_step)
-
-    total = cfg.burn_in + cfg.draws
-    draws = np.empty(cfg.draws)
-    kernels = np.empty(cfg.draws)
+    draws, kernels = np.empty(cfg.draws), np.empty(cfg.draws)
     accepted = 0
-    for t in range(total):
-        prop = x + rng.normal(0.0, math.exp(log_step))
+    for t in range(-cfg.burn_in, cfg.draws):
+        prop = x + rng.normal(0.0, step_sd)
         kp = kernel(prop)
-        if kp == -math.inf:
-            alpha = 0.0
-        else:
-            alpha = min(1.0, math.exp(min(0.0, kp - k)))
-        if rng.random() < alpha:
+        if rng.random() < math.exp(min(0.0, kp - k)):
             x, k = prop, kp
-            if t >= cfg.burn_in:
-                accepted += 1
-        if t < cfg.burn_in:
-            log_step += (alpha - target) / (t + 1) ** 0.6
-        else:
-            draws[t - cfg.burn_in] = x
-            kernels[t - cfg.burn_in] = k
+            accepted += t >= 0
+        if t >= 0:
+            draws[t], kernels[t] = x, k
 
     accept_rate = accepted / cfg.draws
     if accept_rate < 0.05 or accept_rate > 0.95:
         raise MixingFailure(
             f"post-burn-in acceptance {accept_rate:.3f} for {family.value}")
-
-    step_sd = math.exp(log_step)
-    best = float(draws[int(np.argmax(kernels))])
-    mode = refine_mode(kernel, best, kernels.max(),
-                       (best - 3 * step_sd, best + 3 * step_sd))
-
     return PosteriorChain(family=family, draws=draws, log_kernel=kernels,
-                          accept_rate=accept_rate, step_sd=step_sd, mode=mode)
-
-
-def posterior_summary(chain: PosteriorChain) -> tuple[float, float, float]:
-    """(mode, mean, sd) of the lambda draws, on the lambda scale."""
-    lam = chain.lambda_draws
-    if lam.size == 0:
-        raise ValueError("empty chain")
-    sd = float(lam.std(ddof=1)) if lam.size > 1 else 0.0
-    return chain.lambda_mode, float(lam.mean()), sd
+                          accept_rate=accept_rate, step_sd=step_sd, mode=start)

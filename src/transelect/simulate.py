@@ -13,7 +13,7 @@ from .evidence import (CHIB, LAPLACE_METROPOLIS, QUADRATURE, FamilyResult,
                        evidence_laplace_metropolis, evidence_quadrature,
                        posterior_model_probs)
 from .families import ALL_FAMILIES, Family, prepare
-from .likelihood import LikelihoodContext, MhConfig, posterior_summary, run_mh
+from .likelihood import PROPOSAL_SCALE, LikelihoodContext, MhConfig, run_mh
 from .priors import (MIN_N_STAR, build_power_prior, build_unit_info_prior,
                      estimate_dual_anchor, make_imaginary)
 
@@ -101,9 +101,11 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
                     chain_sink=None) -> SelectionReport:
     """Run the whole selection pipeline on a raw data vector for one prior setting.
 
+    Each parametric family's quadrature grid, which holds the exact
+    posterior, gives lambda_mode and lambda_sd; its evidence is reported when
+    asked for. MH runs only when an estimator needs the chain: it starts at
+    the grid's mode, with the proposal sd fixed at PROPOSAL_SCALE grid sds.
     chain_sink, if given, is called with (family, chain) for each MH run.
-    MH runs only when an estimator needs the chain. Otherwise lambda_mode and
-    lambda_sd come from the quadrature grid, which holds the exact posterior.
     The report's `setup` records the prepared data's n, shift xi and epsilon,
     the imaginary data's n_star, and the Dual anchor.
     """
@@ -138,10 +140,13 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
         else:
             prior = build_unit_info_prior(family, imaginary, anchor=anchor)
 
-        evidence = {}
+        quad = evidence_quadrature(ctx, prior)
+        summary = quad.diagnostics
+        evidence = {QUADRATURE: quad} if QUADRATURE in cfg.methods else {}
         if cfg.needs_chain:
             mh_cfg = replace(cfg.mh, seed=_child_seed(cfg.seed, fam_idx, prior_idx, 0))
-            chain = run_mh(ctx, prior, mh_cfg)
+            chain = run_mh(ctx, prior, mh_cfg, summary["x_mode"],
+                           PROPOSAL_SCALE * summary["x_sd"])
             if chain_sink is not None:
                 chain_sink(family, chain)
             if CHIB in cfg.methods:
@@ -151,15 +156,10 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
             if LAPLACE_METROPOLIS in cfg.methods:
                 evidence[LAPLACE_METROPOLIS] = evidence_laplace_metropolis(
                     ctx, prior, chain)
-            mode, _, sd = posterior_summary(chain)
-        if QUADRATURE in cfg.methods:
-            evidence[QUADRATURE] = evidence_quadrature(ctx, prior)
-            if not cfg.needs_chain:
-                mode = evidence[QUADRATURE].diagnostics["lambda_mode"]
-                sd = evidence[QUADRATURE].diagnostics["lambda_sd"]
         results.append(FamilyResult(family=family, prior_kind=prior_kind,
-                                    evidence=evidence, lambda_mode=mode,
-                                    lambda_sd=sd))
+                                    evidence=evidence,
+                                    lambda_mode=summary["lambda_mode"],
+                                    lambda_sd=summary["lambda_sd"]))
 
     report = posterior_model_probs(results, prior_kind=prior_kind,
                                    prob_method=cfg.prob_method)

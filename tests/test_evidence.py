@@ -8,14 +8,17 @@ from transelect.evidence import (CHIB, CLOSED_FORM, LAPLACE_METROPOLIS,
                                  QUADRATURE, EvidenceEstimate, FamilyResult,
                                  evidence_chib, evidence_closed_form,
                                  evidence_laplace_metropolis,
-                                 evidence_quadrature, posterior_model_probs)
+                                 evidence_quadrature, posterior_model_probs,
+                                 refine_mode)
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                                   log_sampling_kernel, run_mh)
+                                   log_sampling_kernel)
 from transelect.priors import (UnitInfoPrior, build_power_prior,
                                build_unit_info_prior, estimate_dual_anchor,
                                make_imaginary)
 from transelect.simulate import ScenarioSpec, generate
+
+from conftest import grid_seeded_mh
 
 
 def _normal_dataset(n=100, seed=14):
@@ -89,7 +92,7 @@ class TestLaplaceMetropolis:
         for family in PARAMETRIC_FAMILIES:
             prior = build_power_prior(family, imaginary)
             ctx = LikelihoodContext(family, data)
-            chain = run_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000, seed=5))
+            chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000, seed=5))
             chib = evidence_chib(ctx, prior, chain, seed=6)
             lm = evidence_laplace_metropolis(ctx, prior, chain)
             gaps[family] = abs(lm.log_marginal - chib.log_marginal)
@@ -109,7 +112,7 @@ class TestChib:
         for family in PARAMETRIC_FAMILIES:
             prior = build_power_prior(family, imaginary)
             ctx = LikelihoodContext(family, data)
-            chain = run_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000, seed=3))
+            chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000, seed=3))
             chib = evidence_chib(ctx, prior, chain, seed=4)
             quad = evidence_quadrature(ctx, prior)
             assert abs(chib.log_marginal - quad.log_marginal) < 0.1, family
@@ -121,7 +124,7 @@ class TestChib:
         imaginary = make_imaginary(n_star=100, seed=30)
         prior = build_power_prior(Family.BOXCOX, imaginary)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=8000, seed=8))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=8000, seed=8))
         a = evidence_chib(ctx, prior, chain, seed=100)
         b = evidence_chib(ctx, prior, chain, seed=200)
         combined = math.sqrt(a.mc_se ** 2 + b.mc_se ** 2)
@@ -132,9 +135,22 @@ class TestChib:
         imaginary = make_imaginary(n_star=100, seed=1)
         prior = build_power_prior(Family.BOXCOX, imaginary)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        chain = run_mh(ctx, prior, MhConfig(burn_in=500, draws=2000, seed=1))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=2000, seed=1))
         with pytest.raises(ValueError):
             evidence_chib(ctx, prior, chain, J=100)
+
+
+class TestRefineMode:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_minus_inf_in_bracket_reaches_the_mode(self):
+        # A prior truncated at 1.05: the kernel is -inf over the bracket's
+        # lower part, which must not warn, and the mode is the prior's own.
+        def kernel(x):
+            return -math.inf if x <= 1.05 else -0.5 * ((x - 1.5) / 0.3) ** 2
+
+        for best in (1.2, 1.4, 1.9):
+            mode = refine_mode(kernel, best, kernel(best), (0.5, 2.5))
+            assert abs(mode - 1.5) < 1e-6, best
 
 
 class TestQuadrature:
@@ -238,7 +254,7 @@ class TestEstimateMetadata:
         imaginary = make_imaginary(n_star=100, seed=2)
         prior = build_unit_info_prior(Family.MODULUS, imaginary)
         ctx = LikelihoodContext(Family.MODULUS, data)
-        chain = run_mh(ctx, prior, MhConfig(burn_in=500, draws=4000, seed=2))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=4000, seed=2))
         assert evidence_chib(ctx, prior, chain, J=500).method == CHIB
         assert evidence_laplace_metropolis(ctx, prior, chain).method == LAPLACE_METROPOLIS
         assert evidence_quadrature(ctx, prior).method == QUADRATURE

@@ -7,14 +7,15 @@ from scipy.stats import norm
 
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import PARAMETRIC_FAMILIES, Family, prepare
-from transelect.likelihood import (LikelihoodContext, MhConfig, PosteriorChain,
-                                   log_sampling_kernel, posterior_summary,
-                                   run_mh)
+from transelect.evidence import evidence_quadrature
+from transelect.likelihood import (PROPOSAL_SCALE, LikelihoodContext, MhConfig,
+                                   log_sampling_kernel, run_mh)
 from transelect.priors import UnitInfoPrior, build_power_prior, make_imaginary
 from transelect.quadrature import REAL_LIMIT
 from transelect.simulate import AnalysisConfig, ScenarioSpec, analyze_dataset, generate
 
 from _oracles import brute_force_log_evidence, make_data, mp_log_likelihood
+from conftest import grid_seeded_mh
 
 
 def _normal_data(n=60, seed=3):
@@ -177,10 +178,6 @@ class TestMhConfig:
         with pytest.raises(ValueError):
             MhConfig(draws=500)
 
-    def test_bad_target_rejected(self):
-        with pytest.raises(ValueError):
-            MhConfig(target_accept=(0.5, 0.3))
-
     def test_negative_burn_in_rejected(self):
         # run_mh would leave the first |burn_in| draw slots uninitialized
         with pytest.raises(ValueError, match="burn_in"):
@@ -192,7 +189,7 @@ class TestRunMh:
     def test_flat_likelihood_recovers_prior(self):
         prior = UnitInfoPrior(Family.BOXCOX, location=0.7, scale=0.3)
         chain = run_mh(_FlatLikelihood(), prior,
-                       MhConfig(burn_in=2000, draws=20000, seed=3))
+                       MhConfig(burn_in=2000, draws=20000, seed=3), 0.7, PROPOSAL_SCALE * 0.3)
         assert abs(float(chain.draws.mean()) - 0.7) < 0.03
         assert abs(float(chain.draws.std(ddof=1)) - 0.3) < 0.03
 
@@ -201,8 +198,8 @@ class TestRunMh:
         ctx = LikelihoodContext(Family.BOXCOX, data)
         prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
         cfg = MhConfig(burn_in=500, draws=2000, seed=17)
-        c1 = run_mh(ctx, prior, cfg)
-        c2 = run_mh(ctx, prior, cfg)
+        c1 = run_mh(ctx, prior, cfg, 1.0, 0.5)
+        c2 = run_mh(ctx, prior, cfg, 1.0, 0.5)
         np.testing.assert_array_equal(c1.draws, c2.draws)
         assert c1.mode == c2.mode and c1.step_sd == c2.step_sd
 
@@ -210,52 +207,55 @@ class TestRunMh:
         data = _normal_data(n=100, seed=2)
         ctx = LikelihoodContext(Family.YEOJOHNSON, data)
         prior = UnitInfoPrior(Family.YEOJOHNSON, location=1.0, scale=0.5)
-        chain = run_mh(ctx, prior, MhConfig(burn_in=2000, draws=8000, seed=1))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=8000, seed=1))
         assert 0.2 < chain.accept_rate < 0.6
 
     def test_dual_draws_strictly_positive(self):
         data = _normal_data(n=80, seed=6)
         ctx = LikelihoodContext(Family.DUAL, data)
         prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.4)
-        chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=4))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=4))
         assert chain.family.on_log_scale
         assert np.all(chain.lambda_draws > 0.0)
 
     def test_mode_maximizes_kernel_over_draws(self):
         prior = UnitInfoPrior(Family.MODULUS, location=0.5, scale=0.4)
         ctx = LikelihoodContext(Family.MODULUS, _normal_data(seed=8))
-        chain = run_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=9))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=9))
         kern = lambda x: log_sampling_kernel(ctx, prior, x)
         assert kern(chain.mode) >= float(chain.log_kernel.max()) - 1e-12
 
     def test_mixing_failure_on_pathological_step(self):
-        # A gigantic frozen step after no adaptation window forces rejections.
+        # A gigantic fixed step forces rejections.
         prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=1e-4)
         ctx = LikelihoodContext(Family.BOXCOX, _normal_data(seed=5))
         with pytest.raises(MixingFailure):
-            run_mh(ctx, prior, MhConfig(burn_in=0, draws=2000,
-                                        initial_step=5e3, seed=0))
+            run_mh(ctx, prior, MhConfig(burn_in=0, draws=2000, seed=0),
+                   start=1.0, step_sd=5e3)
 
-    def test_minus_inf_start_reaches_the_mode(self):
-        # The kernel is -inf at the start x = 1 and inside the bracket of the
-        # mode's refinement; neither may warn, and the refined mode is the
-        # prior's own.
+    def test_minus_inf_start_rejected(self):
         class TruncatedPrior:
             def log_density(self, x):
                 return -math.inf if x <= 1.05 else -0.5 * ((x - 1.5) / 0.3) ** 2
 
-        for seed in range(5):
-            chain = run_mh(_FlatLikelihood(), TruncatedPrior(),
-                           MhConfig(burn_in=1000, draws=4000, seed=seed))
-            assert chain.draws.min() > 1.05
-            assert abs(chain.mode - 1.5) < 1e-6, seed
+        with pytest.raises(ValueError, match="-inf"):
+            run_mh(_FlatLikelihood(), TruncatedPrior(), MhConfig(), 1.0, 0.3)
+
+    def test_fixed_step_acceptance_is_the_1d_optimum(self):
+        # A Gaussian target sampled with a Gaussian proposal of s target sds
+        # accepts (2 / pi) arctan(2 / s) of proposals: 0.4449 at s = 2.38.
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.7, scale=0.3)
+        chain = run_mh(_FlatLikelihood(), prior, MhConfig(draws=50000, seed=5),
+                       0.7, PROPOSAL_SCALE * 0.3)
+        assert abs(2.0 / math.pi * math.atan(2.0 / PROPOSAL_SCALE) - 0.4449) < 1e-4
+        assert abs(chain.accept_rate - 0.445) < 0.015, chain.accept_rate
 
     def test_detailed_balance_total_variation(self):
         # Flat likelihood: the normalized kernel is the prior itself, so the
         # chain histogram must match normal bin masses on a 200-point grid.
         prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0)
         chain = run_mh(_FlatLikelihood(), prior,
-                       MhConfig(burn_in=4000, draws=50000, seed=12))
+                       MhConfig(burn_in=4000, draws=50000, seed=12), 0.0, PROPOSAL_SCALE)
         edges = np.linspace(-4.0, 4.0, 201)
         hist, _ = np.histogram(chain.draws, bins=edges)
         emp = hist / chain.draws.size
@@ -265,33 +265,8 @@ class TestRunMh:
         assert tv < 0.05, tv
 
 
-class TestPosteriorSummary:
-    def test_degenerate_chain(self):
-        chain = PosteriorChain(family=Family.BOXCOX,
-                               draws=np.full(5, 0.7), log_kernel=np.zeros(5),
-                               accept_rate=0.4, step_sd=0.1, mode=0.7)
-        mode, mean, sd = posterior_summary(chain)
-        assert (mode, mean, sd) == (0.7, 0.7, 0.0)
-
-    def test_symmetric_synthetic_chain(self):
-        rng = np.random.default_rng(0)
-        draws = rng.normal(0.9, 0.08, size=20000)
-        chain = PosteriorChain(family=Family.BOXCOX,
-                               draws=draws, log_kernel=np.zeros(draws.size),
-                               accept_rate=0.4, step_sd=0.1, mode=0.9)
-        mode, mean, sd = posterior_summary(chain)
-        assert abs(mode - mean) < 3.0 * sd / math.sqrt(draws.size)
-
-    def test_empty_chain_rejected(self):
-        chain = PosteriorChain(family=Family.BOXCOX,
-                               draws=np.empty(0), log_kernel=np.empty(0),
-                               accept_rate=0.0, step_sd=0.1, mode=0.0)
-        with pytest.raises(ValueError):
-            posterior_summary(chain)
-
-
 class TestPosteriorBands:
-    """Posterior-summary bands on the reference simulated scenarios."""
+    """Bands on the quadrature grid's posterior summary in reference scenarios."""
 
     def test_gamma_boxcox_posterior_band(self):
         y = generate(ScenarioSpec("gamma", 100, seed=1000, shape=2.0, rate=3.0))
@@ -299,8 +274,8 @@ class TestPosteriorBands:
         imaginary = make_imaginary(n_star=100, seed=42)
         prior = build_power_prior(Family.BOXCOX, imaginary)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        chain = run_mh(ctx, prior, MhConfig(seed=7))
-        mode, _, sd = posterior_summary(chain)
+        diag = evidence_quadrature(ctx, prior).diagnostics
+        mode, sd = diag["lambda_mode"], diag["lambda_sd"]
         assert abs(mode - 0.44) < 0.15
         assert abs(sd - 0.09) < 0.05
 
@@ -310,8 +285,7 @@ class TestPosteriorBands:
         imaginary = make_imaginary(n_star=1000, seed=42)
         prior = build_power_prior(Family.BOXCOX, imaginary)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        chain = run_mh(ctx, prior, MhConfig(seed=7))
-        mode, _, _ = posterior_summary(chain)
+        mode = evidence_quadrature(ctx, prior).diagnostics["lambda_mode"]
         assert abs(mode - 0.93) < 0.15
 
     def test_kernel_finite_on_prior_support_grid(self):

@@ -7,7 +7,7 @@ from scipy.stats import skew
 from transelect import simulate
 from transelect.errors import DegenerateData, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
-from transelect.likelihood import LikelihoodContext, MhConfig
+from transelect.likelihood import PROPOSAL_SCALE, LikelihoodContext, MhConfig
 from transelect.priors import (build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
 from transelect.quadrature import REAL_WINDOW
@@ -130,6 +130,25 @@ class TestQuadratureOnlyAnalysis:
             oracle = dense_posterior_sd(LikelihoodContext(family, data), prior, lo, hi)
             got = report.result_for(family).lambda_sd
             assert abs(got - oracle) < 1e-4 * oracle, (family, got, oracle)
+
+
+class TestGridSeededChains:
+    Y = generate(ScenarioSpec("gamma", 100, seed=1000, shape=2.0, rate=3.0))
+
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_chain_starts_at_the_grid_mode_with_a_fixed_step(self, prior_kind):
+        chains = {}
+        report = analyze_dataset(self.Y, prior_kind, AnalysisConfig(seed=3, **FAST_CFG),
+                                 chain_sink=chains.__setitem__)
+        assert set(chains) == set(PARAMETRIC_FAMILIES)
+        for family, chain in chains.items():
+            result = report.result_for(family)
+            diag = result.evidence["quadrature"].diagnostics
+            assert chain.mode == diag["x_mode"], family
+            assert chain.step_sd == PROPOSAL_SCALE * diag["x_sd"], family
+            assert result.evidence["chib"].diagnostics["lambda_star"] == diag["lambda_mode"]
+            assert (result.lambda_mode, result.lambda_sd) == (diag["lambda_mode"],
+                                                              diag["lambda_sd"])
 
 
 class TestRunSetup:
