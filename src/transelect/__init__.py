@@ -13,8 +13,7 @@ from .families import (ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, PreparedData,
 from .likelihood import LikelihoodContext, MhConfig, PosteriorChain, run_mh
 from .priors import (DualAnchor, ImaginaryData, PowerPrior, UnitInfoPrior,
                      build_power_prior, build_unit_info_prior,
-                     estimate_dual_anchor, fisher_scale, log_power_prior_kernel,
-                     make_imaginary, power_prior_log_norm_const)
+                     estimate_dual_anchor, fisher_scale, make_imaginary)
 from .simulate import (AnalysisConfig, ScenarioSpec, SweepSpec,
                        analyze_dataset, gamma_params_for_skewness, generate,
                        run_scenario, run_sweep)

@@ -24,6 +24,7 @@ SWEEP_FIELDS = ["axis_value", "family", "prior", "mean_pmp",
                 "mean_lambda_mode", "replications"]
 REPORT_FIELDS = ["family", "prior", "method", "log_marginal", "mc_se",
                  "posterior_model_prob", "lambda_mode", "lambda_sd"]
+SCENARIO_PARAMS = ("mu", "sigma", "shape", "rate", "df", "ncp")
 
 
 def ingest_csv(path, column) -> np.ndarray:
@@ -165,8 +166,7 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_scenario(args) -> None:
     spec = ScenarioSpec(distribution=args.dist, n=args.n, seed=args.seed,
-                        mu=args.mu, sigma=args.sigma, shape=args.shape,
-                        rate=args.rate, df=args.df, ncp=args.ncp)
+                        **{k: getattr(args, k) for k in SCENARIO_PARAMS})
     _run_analysis(generate(spec), args,
                   {"command": "scenario", "dist": args.dist, "n": args.n,
                    **_echo_common(args)})
@@ -243,12 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="analyze a simulated dataset")
     p.add_argument("--dist", choices=["normal", "gamma", "student"], required=True)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--shape", type=float, default=2.0)
-    p.add_argument("--rate", type=float, default=3.0)
-    p.add_argument("--df", type=float, default=2.0)
-    p.add_argument("--ncp", type=float, default=0.0)
+    for name in SCENARIO_PARAMS:
+        p.add_argument(f"--{name}", type=float, default=getattr(ScenarioSpec, name))
     _add_common(p)
     p.set_defaults(func=_cmd_scenario)
 
@@ -256,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=["gamma-skewness", "student-df"], required=True)
     p.add_argument("--points", required=True,
                    help="comma-separated axis values (skewness or df)")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--replications", type=int, default=10)
+    p.add_argument("--n", type=int, default=SweepSpec.n)
+    p.add_argument("--replications", type=int, default=SweepSpec.replications)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
     return parser

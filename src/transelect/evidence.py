@@ -137,7 +137,7 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
         log_marginal=grid.value, method=QUADRATURE,
         diagnostics={"window": [float(lam[0]), float(lam[-1])],
                      "expansions": grid.expansions, "halvings": grid.halvings,
-                     "grid_points": int(grid.xs.size),
+                     "grid_points": int(grid.xs.size), "tail_mass": float(max(w[0], w[-1])),
                      "x_mode": mode, "x_sd": _sd(w, grid.xs),
                      "lambda_mode": float(family.to_lambda(mode)),
                      "lambda_sd": _sd(w, lam)})

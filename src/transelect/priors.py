@@ -57,26 +57,6 @@ def make_imaginary(n_star: int = 100, source: str = "simulated",
     return ImaginaryData(prepared=prepare(values))
 
 
-def log_power_prior_kernel(family: Family, imaginary: ImaginaryData, x):
-    """Unnormalized log power prior on the sampling scale x: the imaginary-data
-    log likelihood discounted by 1/n*, plus the Jacobian x of lambda = e^x
-    where `Family.on_log_scale`.
-
-    x is a float, or a numpy array scored in one batched call that gives
-    -inf outside the family's domain.
-    """
-    ctx = imaginary.context(family)
-    loglik = ctx.loglik_batch if isinstance(x, np.ndarray) else ctx.loglik
-    val = loglik(family.to_lambda(x)) * imaginary.alpha0
-    return val + x if family.on_log_scale else val
-
-
-def power_prior_log_norm_const(family: Family, imaginary: ImaginaryData) -> float:
-    """log of the integral of the power-prior kernel over the sampling scale."""
-    return sampling_integral(lambda x: log_power_prior_kernel(family, imaginary, x),
-                             family.on_log_scale).value
-
-
 @dataclass(frozen=True)
 class DualAnchor:
     value: float
@@ -133,9 +113,17 @@ class PowerPrior:
     kind: ClassVar[str] = "A"
 
     def log_density(self, x):
-        """Log density at the sampling-scale point x, a float or a numpy array."""
-        return log_power_prior_kernel(self.family, self.imaginary, x) \
-            - self.log_norm_const
+        """Log density at the sampling-scale point x: the imaginary-data log
+        likelihood discounted by 1/n*, plus the Jacobian x of lambda = e^x
+        where `Family.on_log_scale`, minus log_norm_const.
+
+        x is a float, or a numpy array scored in one batched call that gives
+        -inf outside the family's domain.
+        """
+        ctx = self.imaginary.context(self.family)
+        loglik = ctx.loglik_batch if isinstance(x, np.ndarray) else ctx.loglik
+        val = loglik(self.family.to_lambda(x)) * self.imaginary.alpha0
+        return (val + x if self.family.on_log_scale else val) - self.log_norm_const
 
 
 @dataclass(frozen=True)
@@ -159,8 +147,10 @@ class UnitInfoPrior:
 
 
 def build_power_prior(family: Family, imaginary: ImaginaryData) -> PowerPrior:
-    return PowerPrior(family=family, imaginary=imaginary,
-                      log_norm_const=power_prior_log_norm_const(family, imaginary))
+    """Prior A, normalized by integrating its kernel over the sampling scale."""
+    kernel = PowerPrior(family, imaginary, log_norm_const=0.0).log_density
+    return PowerPrior(family, imaginary,
+                      log_norm_const=sampling_integral(kernel, family.on_log_scale).value)
 
 
 def build_unit_info_prior(family: Family, imaginary: ImaginaryData,

@@ -59,49 +59,23 @@ def _eval(log_f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarr
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
-def log_integral(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    *,
-    init_points: int = 257,
-    limits: tuple[float, float] | None = None,
-    boundary_lo: bool = False,
-) -> LogIntegral:
-    """log of the integral of exp(log_f) over [lo, hi].
+def sampling_integral(log_f: Callable[[np.ndarray], np.ndarray], on_log: bool,
+                      window: tuple[float, float] | None = None) -> LogIntegral:
+    """log of the integral of exp(log_f) over a family's sampling scale: lambda,
+    or log lambda when on_log.
 
-    log_f takes a numpy array of points and is called once per grid. The
-    trapezoid grid is refined by halving the step until the log value
-    stabilizes. When `limits` is given the window is first expanded until
-    endpoint contributions fall below TAIL_TOL of the total mass.
-    boundary_lo marks the lower limit as a support boundary where the
-    integrand may stay finite without the integral being truncated.
+    log_f takes a numpy array of points and is called once per grid, each
+    point being scored once. The window (default: the scale's own) is
+    clipped to the scale's limits. 129-point probe grids then grow it by half
+    its width on each side whose endpoint holds more than TAIL_TOL of the
+    mass; on log lambda the lower limit is the lambda -> 0 boundary, where
+    the integrand may stay finite without the integral being truncated.
+    Finally the last probe grid is refined by halving its step until the
+    log value stabilizes.
     """
-    expansions = 0
-    if limits is not None:
-        lo, hi, expansions = _expand_window(log_f, lo, hi, limits, boundary_lo)
-
-    xs = np.linspace(lo, hi, init_points)
-    vals = _eval(log_f, xs)
-    total = _log_trapz(vals, xs[1] - xs[0])
-    halvings = 0
-    for halvings in range(1, MAX_HALVINGS + 1):
-        mid = (xs[:-1] + xs[1:]) / 2.0
-        new_xs = np.empty(xs.size + mid.size)
-        new_vals = np.empty_like(new_xs)
-        new_xs[0::2], new_xs[1::2] = xs, mid
-        new_vals[0::2], new_vals[1::2] = vals, _eval(log_f, mid)
-        xs, vals = new_xs, new_vals
-        refined = _log_trapz(vals, xs[1] - xs[0])
-        done = abs(refined - total) < ABS_TOL
-        total = refined
-        if done:
-            break
-    return LogIntegral(total, xs, vals, expansions, halvings)
-
-
-def _expand_window(log_f, lo, hi, limits, boundary_lo):
-    lim_lo, lim_hi = limits
+    lim_lo, lim_hi = LOG_LIMIT if on_log else REAL_LIMIT
+    lo, hi = window if window is not None else (LOG_WINDOW if on_log else REAL_WINDOW)
+    lo, hi = max(lo, lim_lo), min(hi, lim_hi)
     log_tail = math.log(TAIL_TOL)
     for expansions in range(200):
         xs = np.linspace(lo, hi, 129)
@@ -111,28 +85,30 @@ def _expand_window(log_f, lo, hi, limits, boundary_lo):
         lo_heavy = vals[0] + math.log(step) - total > log_tail
         hi_heavy = vals[-1] + math.log(step) - total > log_tail
         width = hi - lo
-        grew = False
-        if lo_heavy and lo > lim_lo:
-            lo = max(lim_lo, lo - 0.5 * width)
-            grew = True
-        if hi_heavy and hi < lim_hi:
-            hi = min(lim_hi, hi + 0.5 * width)
-            grew = True
-        if not grew:
-            if (lo_heavy and lo <= lim_lo and not boundary_lo) or (
-                    hi_heavy and hi >= lim_hi):
-                raise IntegrationFailure(
-                    f"integrand tails do not decay within limits {limits}")
-            return lo, hi, expansions
-    raise IntegrationFailure("window expansion did not converge")
+        grown = (max(lim_lo, lo - 0.5 * width) if lo_heavy else lo,
+                 min(lim_hi, hi + 0.5 * width) if hi_heavy else hi)
+        if grown == (lo, hi):
+            break
+        lo, hi = grown
+    else:
+        raise IntegrationFailure("window expansion did not converge")
+    # a heavy side that did not grow sits at its limit
+    if hi_heavy or (lo_heavy and not on_log):
+        raise IntegrationFailure(
+            f"integrand tails do not decay within limits {(lim_lo, lim_hi)}")
 
-
-def sampling_integral(log_f: Callable[[np.ndarray], np.ndarray], on_log: bool,
-                      window: tuple[float, float] | None = None) -> LogIntegral:
-    """`log_integral` on a family's sampling scale: lambda, or log lambda when
-    on_log. The window (default: the scale's own) is clipped to the scale's
-    limits; on log lambda the lower limit is the lambda -> 0 boundary."""
-    lim_lo, lim_hi = LOG_LIMIT if on_log else REAL_LIMIT
-    lo, hi = window if window is not None else (LOG_WINDOW if on_log else REAL_WINDOW)
-    return log_integral(log_f, max(lo, lim_lo), min(hi, lim_hi),
-                        limits=(lim_lo, lim_hi), boundary_lo=on_log)
+    # Halving 0 takes the probe to 257 points, so that the first comparison
+    # is between the 257- and 513-point sums.
+    for halvings in range(MAX_HALVINGS + 1):
+        mid = (xs[:-1] + xs[1:]) / 2.0
+        new_xs = np.empty(xs.size + mid.size)
+        new_vals = np.empty_like(new_xs)
+        new_xs[0::2], new_xs[1::2] = xs, mid
+        new_vals[0::2], new_vals[1::2] = vals, _eval(log_f, mid)
+        xs, vals = new_xs, new_vals
+        refined = _log_trapz(vals, xs[1] - xs[0])
+        done = halvings > 0 and abs(refined - total) < ABS_TOL
+        total = refined
+        if done:
+            break
+    return LogIntegral(total, xs, vals, expansions, halvings)

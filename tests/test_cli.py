@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from transelect import cli
 from transelect.cli import ingest_csv, main
 from transelect.errors import EmptyColumn, ParseError
-from transelect.simulate import analyze_dataset
+from transelect.simulate import ScenarioSpec, SweepSpec, analyze_dataset
 
 FAST = ["--burn-in", "300", "--draws", "1000", "--chib-j", "500"]
 
@@ -284,3 +285,16 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["prior"] == "both"
         assert manifest["failures"] == [] and manifest["mh_skipped"] is True
+
+
+class TestParserDefaults:
+    def test_scenario_and_sweep_defaults_are_the_spec_fields(self):
+        parser = cli.build_parser()
+        scenario = parser.parse_args(["scenario", "--dist", "gamma"])
+        sweep = parser.parse_args(["sweep", "--axis", "student-df", "--points", "3"])
+        for args, spec, names in (
+                (scenario, ScenarioSpec, ("mu", "sigma", "shape", "rate", "df", "ncp")),
+                (sweep, SweepSpec, ("n", "replications"))):
+            defaults = {f.name: f.default for f in dataclasses.fields(spec)}
+            for name in names:
+                assert getattr(args, name) == defaults[name], name

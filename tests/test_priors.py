@@ -6,12 +6,10 @@ import pytest
 from transelect.errors import NonPositiveCurvature
 from transelect.families import PARAMETRIC_FAMILIES, Family, prepare
 from transelect.likelihood import LikelihoodContext, log_sampling_kernel
-from transelect.priors import (DualAnchor, ImaginaryData, UnitInfoPrior,
+from transelect.priors import (DualAnchor, ImaginaryData, PowerPrior, UnitInfoPrior,
                                build_power_prior, build_unit_info_prior,
-                               estimate_dual_anchor, fisher_scale,
-                               log_power_prior_kernel, make_imaginary,
-                               power_prior_log_norm_const)
-from transelect.quadrature import REAL_LIMIT, REAL_WINDOW, log_integral, sampling_integral
+                               estimate_dual_anchor, fisher_scale, make_imaginary)
+from transelect.quadrature import sampling_integral
 
 from _oracles import fd_fisher_scale
 
@@ -46,52 +44,56 @@ class TestMakeImaginary:
         assert img.alpha0 == 1.0 / 200
 
 
+def _kernel(family: Family, img: ImaginaryData):
+    """The unnormalized power prior on the sampling scale."""
+    return PowerPrior(family, img, log_norm_const=0.0).log_density
+
+
 class TestPowerPriorKernel:
     def test_kernel_difference_identity(self):
         img = make_imaginary(n_star=80, seed=2)
         ctx = img.context(Family.BOXCOX)
+        kern = _kernel(Family.BOXCOX, img)
         for l1, l2 in ((0.3, 1.5), (-1.0, 2.0)):
-            lhs = (log_power_prior_kernel(Family.BOXCOX, img, l1)
-                   - log_power_prior_kernel(Family.BOXCOX, img, l2))
+            lhs = kern(l1) - kern(l2)
             rhs = (ctx.loglik(l1) - ctx.loglik(l2)) / img.n_star
             assert abs(lhs - rhs) < 1e-12
-
-    def test_grid_refinement_stability(self):
-        img = make_imaginary(n_star=60, seed=5)
-        kern = lambda lam: log_power_prior_kernel(Family.MODULUS, img, lam)
-        coarse = log_integral(kern, -5.0, 7.0, init_points=129).value
-        fine = log_integral(kern, -5.0, 7.0, init_points=257).value
-        assert abs(coarse - fine) < 1e-4 * abs(fine)
 
     def test_boxcox_argmax_near_one(self):
         img = make_imaginary(n_star=200, seed=11)
         grid = np.linspace(-2.0, 4.0, 1201)
-        vals = [log_power_prior_kernel(Family.BOXCOX, img, l) for l in grid]
+        kern = _kernel(Family.BOXCOX, img)
+        vals = [kern(l) for l in grid]
         assert abs(grid[int(np.argmax(vals))] - 1.0) < 0.3
 
 
 class TestPowerPriorNormConst:
-    def test_halved_grid_step_invariance(self):
+    def test_matches_dense_trapezoid(self):
+        # a fixed 20,001-point trapezoid over the final window, in plain numpy
         img = make_imaginary(n_star=60, seed=5)
-        base = power_prior_log_norm_const(Family.BOXCOX, img)
-        kern = lambda lam: log_power_prior_kernel(Family.BOXCOX, img, lam)
-        lo, hi = REAL_WINDOW
-        doubled = log_integral(kern, lo, hi, init_points=513,
-                               limits=REAL_LIMIT).value
-        assert abs(base - doubled) < 1e-6
+        for family in PARAMETRIC_FAMILIES:
+            kern = _kernel(family, img)
+            grid = sampling_integral(kern, family.on_log_scale)
+            assert build_power_prior(family, img).log_norm_const == grid.value
+            xs = np.linspace(grid.xs[0], grid.xs[-1], 20_001)
+            vals = kern(xs)
+            top = vals.max()
+            f = np.exp(vals - top)
+            dense = top + math.log((xs[1] - xs[0]) * (f.sum() - 0.5 * (f[0] + f[-1])))
+            assert abs(grid.value - dense) < 1e-6, family
 
     def test_constant_multiple_shifts_exactly(self):
         img = make_imaginary(n_star=60, seed=5)
-        kern = lambda lam: log_power_prior_kernel(Family.YEOJOHNSON, img, lam)
+        kern = _kernel(Family.YEOJOHNSON, img)
         c = 3.7
-        base = log_integral(kern, -5.0, 7.0).value
-        shifted = log_integral(lambda lam: kern(lam) + c, -5.0, 7.0).value
+        base = sampling_integral(kern, False).value
+        shifted = sampling_integral(lambda lam: kern(lam) + c, False).value
         assert abs(shifted - (base + c)) < 1e-12
 
     def test_deterministic_across_runs(self):
-        a = power_prior_log_norm_const(Family.BOXCOX, make_imaginary(n_star=100, seed=9))
-        b = power_prior_log_norm_const(Family.BOXCOX, make_imaginary(n_star=100, seed=9))
-        assert math.isfinite(a) and a == b
+        a = build_power_prior(Family.BOXCOX, make_imaginary(n_star=100, seed=9))
+        b = build_power_prior(Family.BOXCOX, make_imaginary(n_star=100, seed=9))
+        assert math.isfinite(a.log_norm_const) and a.log_norm_const == b.log_norm_const
 
     def test_prior_density_integrates_to_one(self):
         img = make_imaginary(n_star=100, seed=1)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from transelect.errors import IntegrationFailure
 from transelect.quadrature import (LOG_LIMIT, LOG_WINDOW, REAL_LIMIT, REAL_WINDOW,
-                                   log_integral, sampling_integral)
+                                   sampling_integral)
 
 
 def _log_normal_pdf(mu, sd):
@@ -17,29 +18,32 @@ def _log_normal_pdf(mu, sd):
 
 class TestLogIntegral:
     def test_normal_density_integrates_to_one(self):
-        total = log_integral(_log_normal_pdf(0.0, 1.0), -9.0, 9.0).value
+        total = sampling_integral(_log_normal_pdf(0.0, 1.0), False, window=(-9.0, 9.0)).value
         assert abs(total) < 1e-8
 
     def test_window_expansion_recovers_offcenter_mass(self):
         # Nearly all mass lies outside the initial window; expansion finds it.
-        total = log_integral(_log_normal_pdf(15.0, 0.7), -5.0, 7.0,
-                             limits=(-60.0, 60.0)).value
+        total = sampling_integral(_log_normal_pdf(15.0, 0.7), False).value
         assert abs(total) < 1e-6
 
     def test_non_decaying_tails_raise(self):
         with pytest.raises(IntegrationFailure):
-            log_integral(lambda x: 0.0, -5.0, 7.0, limits=(-60.0, 60.0))
+            sampling_integral(lambda x: 0.0 * x, False)
 
     def test_lower_boundary_mass_allowed_when_marked(self):
-        # Exponential density: finite at the lower support boundary.
-        total = log_integral(lambda x: -x, 1e-8, 20.0, limits=(1e-12, 200.0),
-                             boundary_lo=True).value
-        assert abs(total) < 1e-6
+        # exp(-lambda) integrated on x = log(lambda) without the Jacobian: the
+        # integrand tends to 1 as lambda -> 0, so mass sits at the lower limit.
+        # That is the lambda -> 0 boundary on the log scale, and a truncation
+        # on the real scale.
+        total = sampling_integral(lambda x: -np.exp(x), True).value
+        assert abs(total - math.log(exp1(math.exp(LOG_LIMIT[0])))) < 1e-6
+        with pytest.raises(IntegrationFailure):
+            sampling_integral(lambda x: -np.exp(x), False)
 
     def test_additive_constant_linearity(self):
         f = _log_normal_pdf(1.0, 2.0)
-        base = log_integral(f, -15.0, 17.0).value
-        shifted = log_integral(lambda x: f(x) + 5.25, -15.0, 17.0).value
+        base = sampling_integral(f, False, window=(-15.0, 17.0)).value
+        shifted = sampling_integral(lambda x: f(x) + 5.25, False, window=(-15.0, 17.0)).value
         assert abs(shifted - (base + 5.25)) < 1e-12
 
     def test_defaults(self):
@@ -54,9 +58,10 @@ class TestLogIntegral:
             calls.append(x.size)
             return _log_normal_pdf(15.0, 0.7)(x)
 
-        res = log_integral(f, -5.0, 7.0, limits=(-60.0, 60.0))
+        res = sampling_integral(f, False)
         assert abs(res.value) < 1e-6
-        # one call per window probe, one for the initial grid, one per halving
+        # one call per window probe, one taking the last probe to 257 points,
+        # one per halving
         assert len(calls) == res.expansions + 1 + 1 + res.halvings
         assert res.expansions >= 1 and res.halvings >= 1
         assert res.xs.size == (257 - 1) * 2 ** res.halvings + 1
@@ -76,3 +81,20 @@ class TestLogIntegral:
         log_scale = sampling_integral(lambda x: -np.exp(x) + x, True, window=(-50.0, 1.0))
         assert abs(log_scale.value) < 1e-6
         assert log_scale.xs[0] == LOG_LIMIT[0]
+
+    @pytest.mark.parametrize("log_f, on_log", [(_log_normal_pdf(15.0, 0.7), False),
+                                               (lambda x: -np.exp(x) + x, True)],
+                             ids=["real", "log"])
+    def test_each_grid_point_scored_once(self, log_f, on_log):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return log_f(x)
+
+        res = sampling_integral(f, on_log)
+        e, h = res.expansions, res.halvings
+        assert e >= 1 and h >= 1
+        assert sum(c.size for c in calls) == 129 * (e + 1) + 128 * (2 ** (h + 1) - 1)
+        # the last probe grid and the midpoints of each halving are the final grid
+        np.testing.assert_array_equal(np.sort(np.concatenate(calls[e:])), res.xs)

@@ -10,7 +10,7 @@ from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepa
 from transelect.likelihood import PROPOSAL_SCALE, LikelihoodContext, MhConfig
 from transelect.priors import (build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
-from transelect.quadrature import REAL_WINDOW
+from transelect.quadrature import REAL_WINDOW, TAIL_TOL
 from transelect.simulate import (AnalysisConfig, ScenarioSpec, SweepSpec,
                                  analyze_dataset, gamma_params_for_skewness,
                                  generate, run_scenario, run_sweep)
@@ -149,6 +149,22 @@ class TestGridSeededChains:
             assert result.evidence["chib"].diagnostics["lambda_star"] == diag["lambda_mode"]
             assert (result.lambda_mode, result.lambda_sd) == (diag["lambda_mode"],
                                                               diag["lambda_sd"])
+
+
+class TestQuadratureTailMass:
+    Y = generate(ScenarioSpec("gamma", 100, seed=1000, shape=2.0, rate=3.0))
+
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_every_family_reports_its_tail_mass(self, prior_kind):
+        report = analyze_dataset(self.Y, prior_kind, AnalysisConfig(seed=3, **FAST_CFG))
+        families = {r["family"]: r for r in report.to_dict()["families"]}
+        for family in PARAMETRIC_FAMILIES:
+            tail = families[family.value]["evidence"]["quadrature"]["diagnostics"]["tail_mass"]
+            assert 0.0 <= tail <= 1.0, family
+            # the window stops growing once its endpoints hold < TAIL_TOL of the
+            # mass; only Dual's lambda -> 0 boundary may keep more
+            if family is not Family.DUAL:
+                assert tail < TAIL_TOL, (family, tail)
 
 
 class TestRunSetup:
