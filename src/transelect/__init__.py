@@ -1,9 +1,9 @@
 """Bayesian selection among normalizing variable-transformation families."""
 
-from .errors import (DegenerateData, DegenerateTransform, DomainError,
-                     EmptyColumn, InconsistentEvidence, IntegrationFailure,
-                     MixingFailure, NonPositiveCurvature, NonPositiveInput,
-                     OrdinateUnderflow, ParseError, TranselectError)
+from .errors import (DegenerateData, DegenerateTransform, EmptyColumn,
+                     InconsistentEvidence, IntegrationFailure, MixingFailure,
+                     NonPositiveCurvature, NonPositiveInput, OrdinateUnderflow,
+                     ParseError, TranselectError)
 from .evidence import (EvidenceEstimate, FamilyResult, SelectionReport,
                        evidence_chib, evidence_closed_form,
                        evidence_laplace_metropolis, evidence_quadrature,

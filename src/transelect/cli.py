@@ -86,7 +86,7 @@ def _parse_families(text: str) -> tuple[Family, ...]:
 
 
 def _analysis_config(args) -> AnalysisConfig:
-    mh = MhConfig(burn_in=args.burn_in, draws=args.draws, seed=0)
+    mh = MhConfig(burn_in=args.burn_in, draws=args.draws)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     return AnalysisConfig(mh=mh, chib_draws=args.chib_j, n_star=args.nstar,
                           imaginary_source=args.imaginary, methods=methods,
@@ -106,9 +106,9 @@ def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
 
 
 def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
+    cfg = _analysis_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = _analysis_config(args)
     if args.dump_chains and not (cfg.needs_chain
                                  and any(f.has_lambda for f in cfg.families)):
         log.warning("--dump-chains: no MH chains exist for methods %s and "
@@ -147,7 +147,6 @@ def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
         "mh_draws": cfg.mh.draws,
         "mh_burn_in": cfg.mh.burn_in,
         "chib_j": cfg.chib_draws,
-        "include_constant": True,
         "timestamp": _timestamp(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -173,10 +172,10 @@ def _cmd_scenario(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     points = tuple(float(p) for p in args.points.split(","))
     cfg = _analysis_config(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.dump_chains:
         log.warning("--dump-chains: sweep writes no chain files")
 

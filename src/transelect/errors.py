@@ -9,10 +9,6 @@ class DegenerateData(TranselectError):
     """Raised when data are constant or too short to standardize/shift."""
 
 
-class DomainError(TranselectError):
-    """Transformation parameter outside the family's domain."""
-
-
 class NonPositiveInput(TranselectError):
     """A positivity-requiring family received a nonpositive value."""
 

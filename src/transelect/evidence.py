@@ -18,6 +18,7 @@ LAPLACE_METROPOLIS = "laplace_metropolis"
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed_form"
 _CHIB_BATCHES = 50  # batch means behind the MC se of Chib's numerator
+MIN_CHIB_DRAWS = 500  # fewest fresh proposal draws J behind Chib's denominator
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ def evidence_chib(ctx: LikelihoodContext, prior, chain: PosteriorChain,
                   J: int = 2000, seed: int = 0) -> EvidenceEstimate:
     """Candidate estimator: likelihood and prior at the mode minus the estimated
     posterior ordinate, with the ordinate built from the MH output."""
-    if J < 500:
-        raise ValueError("J must be at least 500")
+    if J < MIN_CHIB_DRAWS:
+        raise ValueError(f"J must be at least {MIN_CHIB_DRAWS}")
     x_star = chain.mode
     k_var = chain.step_sd ** 2
     log_k_star = log_sampling_kernel(ctx, prior, x_star)

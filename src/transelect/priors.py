@@ -115,14 +115,11 @@ class PowerPrior:
     def log_density(self, x):
         """Log density at the sampling-scale point x: the imaginary-data log
         likelihood discounted by 1/n*, plus the Jacobian x of lambda = e^x
-        where `Family.on_log_scale`, minus log_norm_const.
-
-        x is a float, or a numpy array scored in one batched call that gives
-        -inf outside the family's domain.
+        where `Family.on_log_scale`, minus log_norm_const. x is a float or a
+        numpy array; the density is -inf outside the family's domain.
         """
-        ctx = self.imaginary.context(self.family)
-        loglik = ctx.loglik_batch if isinstance(x, np.ndarray) else ctx.loglik
-        val = loglik(self.family.to_lambda(x)) * self.imaginary.alpha0
+        val = (self.imaginary.context(self.family).loglik(self.family.to_lambda(x))
+               * self.imaginary.alpha0)
         return (val + x if self.family.on_log_scale else val) - self.log_norm_const
 
 

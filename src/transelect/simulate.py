@@ -8,10 +8,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateData, TranselectError
-from .evidence import (CHIB, LAPLACE_METROPOLIS, QUADRATURE, FamilyResult,
-                       SelectionReport, evidence_chib, evidence_closed_form,
-                       evidence_laplace_metropolis, evidence_quadrature,
-                       posterior_model_probs)
+from .evidence import (CHIB, LAPLACE_METROPOLIS, MIN_CHIB_DRAWS, QUADRATURE,
+                       FamilyResult, SelectionReport, evidence_chib,
+                       evidence_closed_form, evidence_laplace_metropolis,
+                       evidence_quadrature, posterior_model_probs)
 from .families import ALL_FAMILIES, Family, prepare
 from .likelihood import PROPOSAL_SCALE, LikelihoodContext, MhConfig, run_mh
 from .priors import (MIN_N_STAR, build_power_prior, build_unit_info_prior,
@@ -75,6 +75,9 @@ class AnalysisConfig:
             raise ValueError("at least one family required")
         if not self.methods:
             raise ValueError("at least one evidence method required")
+        if self.chib_draws < MIN_CHIB_DRAWS:
+            raise ValueError(f"chib_draws must be at least {MIN_CHIB_DRAWS}, "
+                             f"got {self.chib_draws}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown evidence methods {unknown}; "
@@ -144,9 +147,9 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
         summary = quad.diagnostics
         evidence = {QUADRATURE: quad} if QUADRATURE in cfg.methods else {}
         if cfg.needs_chain:
-            mh_cfg = replace(cfg.mh, seed=_child_seed(cfg.seed, fam_idx, prior_idx, 0))
-            chain = run_mh(ctx, prior, mh_cfg, summary["x_mode"],
-                           PROPOSAL_SCALE * summary["x_sd"])
+            chain = run_mh(ctx, prior, cfg.mh, summary["x_mode"],
+                           PROPOSAL_SCALE * summary["x_sd"],
+                           _child_seed(cfg.seed, fam_idx, prior_idx, 0))
             if chain_sink is not None:
                 chain_sink(family, chain)
             if CHIB in cfg.methods:

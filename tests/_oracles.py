@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from transelect.errors import DomainError, NonPositiveInput
+from transelect.errors import NonPositiveInput
 from transelect.families import Family, PreparedData
 from transelect.likelihood import _BRANCH_TOL, LikelihoodContext
 
@@ -37,7 +37,7 @@ def transform_in_data_order(family: Family, data: PreparedData, lam: float = 0.0
 
 def _check_lambda(family: Family, lam: float) -> None:
     if not family.in_domain(lam):
-        raise DomainError(f"lambda={lam} outside the domain of {family.value}")
+        raise ValueError(f"lambda={lam} outside the domain of {family.value}")
 
 
 # The elementwise transforms below are a reference written apart from the

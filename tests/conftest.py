@@ -11,8 +11,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def grid_seeded_mh(ctx, prior, cfg):
-    """run_mh seeded as analyze_dataset seeds it: at the quadrature grid's mode,
-    with the proposal sd fixed at PROPOSAL_SCALE grid sds."""
+def grid_seeded_mh(ctx, prior, cfg, seed):
+    """run_mh started as analyze_dataset starts it: at the quadrature grid's
+    mode, with the proposal sd fixed at PROPOSAL_SCALE grid sds."""
     diag = evidence_quadrature(ctx, prior).diagnostics
-    return run_mh(ctx, prior, cfg, diag["x_mode"], PROPOSAL_SCALE * diag["x_sd"])
+    return run_mh(ctx, prior, cfg, diag["x_mode"], PROPOSAL_SCALE * diag["x_sd"], seed)

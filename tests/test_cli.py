@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from transelect import cli
+from transelect import cli, simulate
 from transelect.cli import ingest_csv, main
 from transelect.errors import EmptyColumn, ParseError
 from transelect.simulate import ScenarioSpec, SweepSpec, analyze_dataset
@@ -217,6 +217,18 @@ class TestScenarioCommand:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and "burn_in" in err["message"]
+
+    def test_small_chib_j_rejected_before_mh(self, tmp_path, capsys, monkeypatch):
+        def no_mh(*args, **kwargs):
+            raise AssertionError("run_mh called with an invalid --chib-j")
+
+        monkeypatch.setattr(simulate, "run_mh", no_mh)
+        rc = main(["scenario", "--dist", "gamma", "--n", "100", "--chib-j", "100",
+                   "--families", "id,boxcox,dual", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "chib_draws" in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyzeCommand:

@@ -92,7 +92,7 @@ class TestLaplaceMetropolis:
         for family in PARAMETRIC_FAMILIES:
             prior = build_power_prior(family, imaginary)
             ctx = LikelihoodContext(family, data)
-            chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000, seed=5))
+            chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000), seed=5)
             chib = evidence_chib(ctx, prior, chain, seed=6)
             lm = evidence_laplace_metropolis(ctx, prior, chain)
             gaps[family] = abs(lm.log_marginal - chib.log_marginal)
@@ -112,7 +112,7 @@ class TestChib:
         for family in PARAMETRIC_FAMILIES:
             prior = build_power_prior(family, imaginary)
             ctx = LikelihoodContext(family, data)
-            chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000, seed=3))
+            chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=12000), seed=3)
             chib = evidence_chib(ctx, prior, chain, seed=4)
             quad = evidence_quadrature(ctx, prior)
             assert abs(chib.log_marginal - quad.log_marginal) < 0.1, family
@@ -124,7 +124,7 @@ class TestChib:
         imaginary = make_imaginary(n_star=100, seed=30)
         prior = build_power_prior(Family.BOXCOX, imaginary)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=8000, seed=8))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=8000), seed=8)
         a = evidence_chib(ctx, prior, chain, seed=100)
         b = evidence_chib(ctx, prior, chain, seed=200)
         combined = math.sqrt(a.mc_se ** 2 + b.mc_se ** 2)
@@ -135,7 +135,7 @@ class TestChib:
         imaginary = make_imaginary(n_star=100, seed=1)
         prior = build_power_prior(Family.BOXCOX, imaginary)
         ctx = LikelihoodContext(Family.BOXCOX, data)
-        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=2000, seed=1))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=2000), seed=1)
         with pytest.raises(ValueError):
             evidence_chib(ctx, prior, chain, J=100)
 
@@ -254,7 +254,7 @@ class TestEstimateMetadata:
         imaginary = make_imaginary(n_star=100, seed=2)
         prior = build_unit_info_prior(Family.MODULUS, imaginary)
         ctx = LikelihoodContext(Family.MODULUS, data)
-        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=4000, seed=2))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=4000), seed=2)
         assert evidence_chib(ctx, prior, chain, J=500).method == CHIB
         assert evidence_laplace_metropolis(ctx, prior, chain).method == LAPLACE_METROPOLIS
         assert evidence_quadrature(ctx, prior).method == QUADRATURE

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transelect.errors import DegenerateData, DomainError, NonPositiveInput
+from transelect.errors import DegenerateData, NonPositiveInput
 from transelect.families import (ALL_FAMILIES, PARAMETRIC_FAMILIES, Family,
                                  compute_shift, prepare, standardize)
 from transelect.likelihood import LikelihoodContext
@@ -108,10 +108,8 @@ class TestForward:
 
     def test_dual_rejects_nonpositive_lambda(self):
         ctx = LikelihoodContext(Family.DUAL, make_data([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            ctx.loglik(-1.0)
-        with pytest.raises(DomainError):
-            ctx.loglik(0.0)
+        assert ctx.loglik(-1.0) == -math.inf
+        assert ctx.loglik(0.0) == -math.inf
 
     def test_shift_family_rejects_nonpositive_input(self):
         data = make_data([-1.0, 1.0])
@@ -121,8 +119,7 @@ class TestForward:
 
     def test_nonfinite_lambda_rejected(self):
         ctx = LikelihoodContext(Family.BOXCOX, make_data([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            ctx.loglik(math.nan)
+        assert ctx.loglik(math.nan) == -math.inf
 
     def test_matches_reference_transform(self):
         # The library's cached-log formulas against the elementwise reference,

@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import norm
 
 from transelect.errors import DegenerateTransform, MixingFailure
-from transelect.families import PARAMETRIC_FAMILIES, Family, prepare
+from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.evidence import evidence_quadrature
 from transelect.likelihood import (PROPOSAL_SCALE, LikelihoodContext, MhConfig,
                                    log_sampling_kernel, run_mh)
@@ -91,7 +91,7 @@ class TestBatchedLikelihood:
                        Family.YEOJOHNSON, Family.DUAL):
             ctx = LikelihoodContext(family, data)
             lams = self.GRID[self.GRID > 0.0] if family is Family.DUAL else self.GRID
-            batch = ctx.loglik_batch(lams)
+            batch = ctx.loglik(lams)
             scalar = np.array([ctx.loglik(float(lam)) for lam in lams])
             assert np.all(np.isfinite(batch)), family
             np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-12,
@@ -99,16 +99,30 @@ class TestBatchedLikelihood:
 
     def test_minus_inf_outside_dual_domain(self):
         ctx = LikelihoodContext(Family.DUAL, _normal_data())
-        got = ctx.loglik_batch(np.array([-1.0, 0.0, math.nan, math.inf, 0.5]))
+        got = ctx.loglik(np.array([-1.0, 0.0, math.nan, math.inf, 0.5]))
         assert np.all(got[:4] == -math.inf)
         assert got[4] == ctx.loglik(0.5)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_array_outside_domain_matches_float_calls(self, family):
+        # One call for a float or an array, with -inf outside the domain in both.
+        bad = [-1.0, 0.0] if family is Family.DUAL else []
+        lams = np.array([0.5, *bad, math.nan, 1.5, math.inf, -math.inf, 2.0])
+        ctx = LikelihoodContext(family, _normal_data())
+        got = ctx.loglik(lams)
+        assert isinstance(got, np.ndarray) and got.shape == lams.shape
+        want = np.array([ctx.loglik(float(lam)) for lam in lams])
+        inside = family.in_domain(lams) | (not family.has_lambda)
+        np.testing.assert_array_equal(got == -math.inf, ~inside)
+        np.testing.assert_array_equal(want == -math.inf, ~inside)
+        np.testing.assert_allclose(got[inside], want[inside], rtol=0.0, atol=1e-12)
 
     def test_degenerate_transform_raises(self):
         ctx = LikelihoodContext(Family.BOXCOX, make_data([1.5, 1.5, 1.5]))
         with pytest.raises(DegenerateTransform):
             ctx.loglik(0.5)
         with pytest.raises(DegenerateTransform):
-            ctx.loglik_batch(np.array([0.5, 1.0]))
+            ctx.loglik(np.array([0.5, 1.0]))
 
 
 def _outlier_values():
@@ -129,7 +143,7 @@ class TestOutlierData:
         oracle = np.array([mp_log_likelihood(family, data, lam) for lam in lams])
         scalar = np.array([ctx.loglik(float(lam)) for lam in lams])
         np.testing.assert_allclose(scalar, oracle, rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose(ctx.loglik_batch(lams), oracle, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(ctx.loglik(lams), oracle, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("prior_kind", ["A", "B"])
     def test_analysis_completes(self, prior_kind):
@@ -186,10 +200,20 @@ class TestMhConfig:
 
 
 class TestRunMh:
+    def test_seed_is_an_argument(self):
+        # test_same_seed_bit_identical covers reproduction; the config holds no seed
+        ctx = LikelihoodContext(Family.BOXCOX, _normal_data())
+        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
+        cfg = MhConfig(burn_in=500, draws=2000)
+        c1, c2 = (run_mh(ctx, prior, cfg, 1.0, 0.5, seed=s) for s in (4, 5))
+        assert not np.array_equal(c1.draws, c2.draws)
+        with pytest.raises(TypeError):
+            MhConfig(seed=4)
+
     def test_flat_likelihood_recovers_prior(self):
         prior = UnitInfoPrior(Family.BOXCOX, location=0.7, scale=0.3)
         chain = run_mh(_FlatLikelihood(), prior,
-                       MhConfig(burn_in=2000, draws=20000, seed=3), 0.7, PROPOSAL_SCALE * 0.3)
+                       MhConfig(burn_in=2000, draws=20000), 0.7, PROPOSAL_SCALE * 0.3, seed=3)
         assert abs(float(chain.draws.mean()) - 0.7) < 0.03
         assert abs(float(chain.draws.std(ddof=1)) - 0.3) < 0.03
 
@@ -197,9 +221,9 @@ class TestRunMh:
         data = _normal_data()
         ctx = LikelihoodContext(Family.BOXCOX, data)
         prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
-        cfg = MhConfig(burn_in=500, draws=2000, seed=17)
-        c1 = run_mh(ctx, prior, cfg, 1.0, 0.5)
-        c2 = run_mh(ctx, prior, cfg, 1.0, 0.5)
+        cfg = MhConfig(burn_in=500, draws=2000)
+        c1 = run_mh(ctx, prior, cfg, 1.0, 0.5, seed=17)
+        c2 = run_mh(ctx, prior, cfg, 1.0, 0.5, seed=17)
         np.testing.assert_array_equal(c1.draws, c2.draws)
         assert c1.mode == c2.mode and c1.step_sd == c2.step_sd
 
@@ -207,21 +231,21 @@ class TestRunMh:
         data = _normal_data(n=100, seed=2)
         ctx = LikelihoodContext(Family.YEOJOHNSON, data)
         prior = UnitInfoPrior(Family.YEOJOHNSON, location=1.0, scale=0.5)
-        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=8000, seed=1))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=2000, draws=8000), seed=1)
         assert 0.2 < chain.accept_rate < 0.6
 
     def test_dual_draws_strictly_positive(self):
         data = _normal_data(n=80, seed=6)
         ctx = LikelihoodContext(Family.DUAL, data)
         prior = UnitInfoPrior(Family.DUAL, location=math.log(1.2), scale=0.4)
-        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=4))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000), seed=4)
         assert chain.family.on_log_scale
         assert np.all(chain.lambda_draws > 0.0)
 
     def test_mode_maximizes_kernel_over_draws(self):
         prior = UnitInfoPrior(Family.MODULUS, location=0.5, scale=0.4)
         ctx = LikelihoodContext(Family.MODULUS, _normal_data(seed=8))
-        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000, seed=9))
+        chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=1000, draws=4000), seed=9)
         kern = lambda x: log_sampling_kernel(ctx, prior, x)
         assert kern(chain.mode) >= float(chain.log_kernel.max()) - 1e-12
 
@@ -230,8 +254,8 @@ class TestRunMh:
         prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=1e-4)
         ctx = LikelihoodContext(Family.BOXCOX, _normal_data(seed=5))
         with pytest.raises(MixingFailure):
-            run_mh(ctx, prior, MhConfig(burn_in=0, draws=2000, seed=0),
-                   start=1.0, step_sd=5e3)
+            run_mh(ctx, prior, MhConfig(burn_in=0, draws=2000),
+                   start=1.0, step_sd=5e3, seed=0)
 
     def test_minus_inf_start_rejected(self):
         class TruncatedPrior:
@@ -239,14 +263,14 @@ class TestRunMh:
                 return -math.inf if x <= 1.05 else -0.5 * ((x - 1.5) / 0.3) ** 2
 
         with pytest.raises(ValueError, match="-inf"):
-            run_mh(_FlatLikelihood(), TruncatedPrior(), MhConfig(), 1.0, 0.3)
+            run_mh(_FlatLikelihood(), TruncatedPrior(), MhConfig(), 1.0, 0.3, seed=0)
 
     def test_fixed_step_acceptance_is_the_1d_optimum(self):
         # A Gaussian target sampled with a Gaussian proposal of s target sds
         # accepts (2 / pi) arctan(2 / s) of proposals: 0.4449 at s = 2.38.
         prior = UnitInfoPrior(Family.BOXCOX, location=0.7, scale=0.3)
-        chain = run_mh(_FlatLikelihood(), prior, MhConfig(draws=50000, seed=5),
-                       0.7, PROPOSAL_SCALE * 0.3)
+        chain = run_mh(_FlatLikelihood(), prior, MhConfig(draws=50000),
+                       0.7, PROPOSAL_SCALE * 0.3, seed=5)
         assert abs(2.0 / math.pi * math.atan(2.0 / PROPOSAL_SCALE) - 0.4449) < 1e-4
         assert abs(chain.accept_rate - 0.445) < 0.015, chain.accept_rate
 
@@ -255,7 +279,7 @@ class TestRunMh:
         # chain histogram must match normal bin masses on a 200-point grid.
         prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0)
         chain = run_mh(_FlatLikelihood(), prior,
-                       MhConfig(burn_in=4000, draws=50000, seed=12), 0.0, PROPOSAL_SCALE)
+                       MhConfig(burn_in=4000, draws=50000), 0.0, PROPOSAL_SCALE, seed=12)
         edges = np.linspace(-4.0, 4.0, 201)
         hist, _ = np.histogram(chain.draws, bins=edges)
         emp = hist / chain.draws.size

@@ -91,6 +91,11 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError):
             AnalysisConfig(methods=("quadrature", "harmonic_mean"))
 
+    def test_too_few_chib_draws_rejected(self):
+        with pytest.raises(ValueError, match="chib_draws must be at least 500"):
+            AnalysisConfig(chib_draws=100)
+        assert AnalysisConfig(chib_draws=500).chib_draws == 500
+
 
 def _no_mh(*args, **kwargs):
     raise AssertionError("run_mh called by a quadrature-only analysis")
