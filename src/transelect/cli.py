@@ -30,7 +30,7 @@ SCENARIO_PARAMS = ("mu", "sigma", "shape", "rate", "df", "ncp")
 def ingest_csv(path, column) -> np.ndarray:
     """Read one numeric column; blank cells are dropped with a logged count."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # drops an Excel BOM
         rows = list(csv.reader(fh))
     if not rows:
         raise EmptyColumn(f"{path} is empty")
@@ -105,52 +105,44 @@ def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _run_analysis(y: np.ndarray, args, config_echo: dict) -> None:
+def _run_analysis(y: np.ndarray, args) -> None:
     cfg = _analysis_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.dump_chains and not (cfg.needs_chain
-                                 and any(f.has_lambda for f in cfg.families)):
-        log.warning("--dump-chains: no MH chains exist for methods %s and "
-                    "families %s; no chain files written", args.methods, args.families)
-    chain_dir = out / "chains"
-    tuned = {}
-    reports = []
-    rows = []
-    for prior_kind in _priors_for(args.prior):
-        def sink(family, chain, _pk=prior_kind):
-            tuned[f"{family.value}_{_pk}"] = chain.step_sd ** 2
-            if args.dump_chains:
-                chain_dir.mkdir(exist_ok=True)
-                lam = chain.lambda_draws
-                with (chain_dir / f"{family.value}_{_pk}.csv").open("w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["iteration", "lambda", "log_posterior"])
-                    for i, (l, k) in enumerate(zip(lam, chain.log_kernel)):
-                        w.writerow([i, repr(float(l)), repr(float(k))])
-
-        report = analyze_dataset(y, prior_kind, cfg, chain_sink=sink)
-        reports.append(report.to_dict())
-        rows.extend(report.csv_rows())
+    reports = [analyze_dataset(y, p, cfg) for p in _priors_for(args.prior)]
+    if args.dump_chains:
+        chained = [r for report in reports for r in report.results if r.chain is not None]
+        if not chained:
+            log.warning("--dump-chains: no MH chains exist for methods %s and "
+                        "families %s; no chain files written", args.methods, args.families)
+        for r in chained:
+            (out / "chains").mkdir(exist_ok=True)
+            path = out / "chains" / f"{r.family.value}_{r.prior_kind}.csv"
+            with path.open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["iteration", "lambda", "log_posterior"])
+                w.writerows([i, repr(float(l)), repr(float(k))] for i, (l, k)
+                            in enumerate(zip(r.chain.lambda_draws, r.chain.log_kernel)))
 
     (out / "report.json").write_text(
-        json.dumps({"reports": reports, "timestamp": _timestamp()},
+        json.dumps({"reports": [r.to_dict() for r in reports], "timestamp": _timestamp()},
                    indent=2, sort_keys=True))
-    _write_csv(out / "report.csv", REPORT_FIELDS, rows)
-
-    manifest = {
-        **report.setup,  # the same for every prior
-        "config": config_echo,
-        "seed": cfg.seed,
-        "tuned_proposal_variance": tuned,
-        "mh_skipped": not cfg.needs_chain,
-        "mh_draws": cfg.mh.draws,
-        "mh_burn_in": cfg.mh.burn_in,
-        "chib_j": cfg.chib_draws,
-        "timestamp": _timestamp(),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_csv(out / "report.csv", REPORT_FIELDS,
+               [row for r in reports for row in r.csv_rows()])
+    _write_manifest(out, args, cfg, **reports[0].setup)  # the same for every prior
     print(f"wrote report.json, report.csv, manifest.json to {out}")
+
+
+def _write_manifest(out: Path, args, cfg: AnalysisConfig, **fields) -> None:
+    """manifest.json: `fields`, the command, seed and timestamp, whether MH was
+    skipped, and `config`, every parsed flag: a --config file that replays the
+    run under the same subcommand."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("func", "command", "config")}
+    manifest = {**fields, "command": args.command, "seed": cfg.seed,
+                "mh_skipped": not cfg.needs_chain, "timestamp": _timestamp(),
+                "config": config}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _timestamp() -> str:
@@ -158,22 +150,22 @@ def _timestamp() -> str:
 
 
 def _cmd_analyze(args) -> None:
-    y = ingest_csv(args.input, args.column)
-    _run_analysis(y, args, {"command": "analyze", "input": str(args.input),
-                            "column": args.column, **_echo_common(args)})
+    _run_analysis(ingest_csv(args.input, args.column), args)
 
 
 def _cmd_scenario(args) -> None:
     spec = ScenarioSpec(distribution=args.dist, n=args.n, seed=args.seed,
                         **{k: getattr(args, k) for k in SCENARIO_PARAMS})
-    _run_analysis(generate(spec), args,
-                  {"command": "scenario", "dist": args.dist, "n": args.n,
-                   **_echo_common(args)})
+    _run_analysis(generate(spec), args)
 
 
 def _cmd_sweep(args) -> None:
-    points = tuple(float(p) for p in args.points.split(","))
     cfg = _analysis_config(args)
+    points = tuple(float(p) for p in args.points.split(","))
+    sweeps = [SweepSpec(axis=args.axis.replace("-", "_"), points=points, n=args.n,
+                        prior_kind=prior_kind, replications=args.replications,
+                        seed=args.seed)
+              for prior_kind in _priors_for(args.prior)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_chains:
@@ -187,27 +179,10 @@ def _cmd_sweep(args) -> None:
         done.extend(point_rows)
         _write_csv(path, SWEEP_FIELDS, done)  # rewrite so interrupts keep finished points
 
-    for prior_kind in _priors_for(args.prior):
-        sweep = SweepSpec(axis=args.axis.replace("-", "_"), points=points, n=args.n,
-                          prior_kind=prior_kind, replications=args.replications,
-                          seed=args.seed)
+    for sweep in sweeps:
         run_sweep(sweep, cfg, on_point=flush, on_failure=failures.append)
-    manifest = {"config": {"command": "sweep", "axis": sweep.axis,
-                           "points": list(points), "n": args.n,
-                           "replications": args.replications,
-                           **_echo_common(args)},
-                "failures": failures,
-                "mh_skipped": not cfg.needs_chain,
-                "timestamp": _timestamp()}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_manifest(out, args, cfg, failures=failures)
     print(f"wrote sweep.csv to {out}")
-
-
-def _echo_common(args) -> dict:
-    return {"prior": args.prior, "families": args.families, "seed": args.seed,
-            "burn_in": args.burn_in, "draws": args.draws, "chib_j": args.chib_j,
-            "nstar": args.nstar, "imaginary": args.imaginary,
-            "methods": args.methods, "out": str(args.out)}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

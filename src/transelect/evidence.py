@@ -152,6 +152,7 @@ class FamilyResult:
     lambda_mode: float | None
     lambda_sd: float | None
     posterior_model_prob: float = math.nan
+    chain: PosteriorChain | None = None    # the MH output, when MH ran
 
 
 @dataclass
@@ -189,6 +190,8 @@ class SelectionReport:
                     "posterior_model_prob": r.posterior_model_prob,
                     "lambda_mode": r.lambda_mode,
                     "lambda_sd": r.lambda_sd,
+                    "mh": None if r.chain is None else {
+                        "accept_rate": r.chain.accept_rate, "step_sd": r.chain.step_sd},
                     "evidence": {
                         m: {"log_marginal": e.log_marginal, "mc_se": e.mc_se,
                             "diagnostics": e.diagnostics}

@@ -75,6 +75,9 @@ class AnalysisConfig:
             raise ValueError("at least one family required")
         if not self.methods:
             raise ValueError("at least one evidence method required")
+        if self.n_star is not None and self.imaginary_source == "empirical":
+            raise ValueError("n_star does not apply to empirical imaginary data, "
+                             "which are the observed data")
         if self.chib_draws < MIN_CHIB_DRAWS:
             raise ValueError(f"chib_draws must be at least {MIN_CHIB_DRAWS}, "
                              f"got {self.chib_draws}")
@@ -100,15 +103,14 @@ def _child_seed(root: int, *key: int) -> int:
                .generate_state(1)[0])
 
 
-def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
-                    chain_sink=None) -> SelectionReport:
+def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig) -> SelectionReport:
     """Run the whole selection pipeline on a raw data vector for one prior setting.
 
     Each parametric family's quadrature grid, which holds the exact
     posterior, gives lambda_mode and lambda_sd; its evidence is reported when
     asked for. MH runs only when an estimator needs the chain: it starts at
-    the grid's mode, with the proposal sd fixed at PROPOSAL_SCALE grid sds.
-    chain_sink, if given, is called with (family, chain) for each MH run.
+    the grid's mode, with the proposal sd fixed at PROPOSAL_SCALE grid sds,
+    and its chain is kept on the family's result.
     The report's `setup` records the prepared data's n, shift xi and epsilon,
     the imaginary data's n_star, and the Dual anchor.
     """
@@ -146,23 +148,20 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
         quad = evidence_quadrature(ctx, prior)
         summary = quad.diagnostics
         evidence = {QUADRATURE: quad} if QUADRATURE in cfg.methods else {}
-        if cfg.needs_chain:
-            chain = run_mh(ctx, prior, cfg.mh, summary["x_mode"],
-                           PROPOSAL_SCALE * summary["x_sd"],
-                           _child_seed(cfg.seed, fam_idx, prior_idx, 0))
-            if chain_sink is not None:
-                chain_sink(family, chain)
-            if CHIB in cfg.methods:
-                evidence[CHIB] = evidence_chib(
-                    ctx, prior, chain, J=cfg.chib_draws,
-                    seed=_child_seed(cfg.seed, fam_idx, prior_idx, 1))
-            if LAPLACE_METROPOLIS in cfg.methods:
-                evidence[LAPLACE_METROPOLIS] = evidence_laplace_metropolis(
-                    ctx, prior, chain)
+        chain = (run_mh(ctx, prior, cfg.mh, summary["x_mode"],
+                        PROPOSAL_SCALE * summary["x_sd"],
+                        _child_seed(cfg.seed, fam_idx, prior_idx, 0))
+                 if cfg.needs_chain else None)
+        if CHIB in cfg.methods:
+            evidence[CHIB] = evidence_chib(
+                ctx, prior, chain, J=cfg.chib_draws,
+                seed=_child_seed(cfg.seed, fam_idx, prior_idx, 1))
+        if LAPLACE_METROPOLIS in cfg.methods:
+            evidence[LAPLACE_METROPOLIS] = evidence_laplace_metropolis(ctx, prior, chain)
         results.append(FamilyResult(family=family, prior_kind=prior_kind,
                                     evidence=evidence,
                                     lambda_mode=summary["lambda_mode"],
-                                    lambda_sd=summary["lambda_sd"]))
+                                    lambda_sd=summary["lambda_sd"], chain=chain))
 
     report = posterior_model_probs(results, prior_kind=prior_kind,
                                    prob_method=cfg.prob_method)
@@ -173,10 +172,9 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig,
 
 
 def run_scenario(spec: ScenarioSpec, prior_kind: str,
-                 cfg: AnalysisConfig | None = None,
-                 chain_sink=None) -> SelectionReport:
+                 cfg: AnalysisConfig | None = None) -> SelectionReport:
     cfg = cfg if cfg is not None else AnalysisConfig(seed=spec.seed)
-    return analyze_dataset(generate(spec), prior_kind, cfg, chain_sink=chain_sink)
+    return analyze_dataset(generate(spec), prior_kind, cfg)
 
 
 def gamma_params_for_skewness(skew: float) -> tuple[float, float]:
@@ -201,6 +199,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis: {self.axis}")
         if not self.points:
             raise ValueError("sweep needs at least one axis point")
+        bad = [p for p in self.points if not (math.isfinite(p) and p > 0)]
+        if bad:
+            raise ValueError(f"sweep axis points must be finite and positive, got {bad}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
 

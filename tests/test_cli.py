@@ -57,6 +57,13 @@ class TestIngestCsv:
         with pytest.raises(ParseError):
             ingest_csv(p, "y")
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte order mark
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfy,z\n1.0,9\n2.5,8\n")
+        np.testing.assert_array_equal(ingest_csv(p, "y"), [1.0, 2.5])
+        np.testing.assert_array_equal(ingest_csv(p, "0"), [1.0, 2.5])
+
 
 class TestScenarioCommand:
     def test_full_shape_contract(self, tmp_path):
@@ -77,11 +84,19 @@ class TestScenarioCommand:
 
         report = json.loads((out / "report.json").read_text())
         assert len(report["reports"]) == 2
+        blocks = [(f["family"], f["mh"]) for r in report["reports"] for f in r["families"]]
+        assert len(blocks) == 12
+        for family, mh in blocks:
+            if family in ("id", "log"):
+                assert mh is None
+            else:
+                assert 0.0 < mh["accept_rate"] < 1.0 and mh["step_sd"] > 0.0, family
         manifest = json.loads((out / "manifest.json").read_text())
-        for key in ("seed", "n", "n_star", "xi", "epsilon", "dual_anchor",
-                    "tuned_proposal_variance", "mh_draws", "chib_j"):
+        for key in ("command", "seed", "n", "n_star", "xi", "epsilon", "dual_anchor",
+                    "mh_skipped", "config"):
             assert key in manifest
-        assert len(manifest["tuned_proposal_variance"]) == 8
+        assert manifest["command"] == "scenario" and manifest["mh_skipped"] is False
+        assert manifest["config"]["draws"] == 1000 and manifest["config"]["chib_j"] == 500
 
     def test_closed_form_only_families(self, tmp_path):
         out = tmp_path / "out"
@@ -109,11 +124,10 @@ class TestScenarioCommand:
     def test_dump_chains(self, tmp_path, monkeypatch):
         chains = {}
 
-        def recording(y, prior_kind, cfg, chain_sink=None):
-            def sink(family, chain):
-                chains[family.value] = chain
-                chain_sink(family, chain)
-            return analyze_dataset(y, prior_kind, cfg, chain_sink=sink)
+        def recording(y, prior_kind, cfg):
+            report = analyze_dataset(y, prior_kind, cfg)
+            chains.update({r.family.value: r.chain for r in report.results})
+            return report
 
         monkeypatch.setattr(cli, "analyze_dataset", recording)
         out = tmp_path / "out"
@@ -130,6 +144,10 @@ class TestScenarioCommand:
             kernel = [float(r["log_posterior"]) for r in rows]
             assert lam == chains[family].lambda_draws.tolist()
             assert kernel == chains[family].log_kernel.tolist()
+        report = json.loads((out / "report.json").read_text())["reports"][0]
+        for r in report["families"]:
+            assert r["mh"] == {"accept_rate": chains[r["family"]].accept_rate,
+                               "step_sd": chains[r["family"]].step_sd}
 
     def test_dump_chains_without_chains_warns(self, tmp_path, caplog):
         out = tmp_path / "out"
@@ -142,10 +160,41 @@ class TestScenarioCommand:
         assert not (out / "chains").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mh_skipped"] is True
-        assert manifest["tuned_proposal_variance"] == {}
+        report = json.loads((out / "report.json").read_text())["reports"][0]
+        assert [r["mh"] for r in report["families"]] == [None, None]
         rows = list(csv.DictReader((out / "report.csv").open()))
         boxcox = [r for r in rows if r["family"] == "boxcox"]
         assert len(boxcox) == 1 and boxcox[0]["lambda_mode"] and boxcox[0]["lambda_sd"]
+
+    def test_manifest_records_the_distribution_parameters(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["scenario", "--dist", "gamma", "--shape", "1.5", "--rate", "4",
+                   "--n", "40", "--prior", "a", "--families", "id,log", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "scenario"
+        assert manifest["config"]["shape"] == 1.5 and manifest["config"]["rate"] == 4.0
+
+    def test_manifest_config_replays_the_run(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        rc = main(["scenario", "--dist", "student", "--df", "3", "--ncp", "-1",
+                   "--n", "60", "--seed", "8", "--prior", "b", "--families", "id,boxcox",
+                   "--methods", "chib,quadrature", "--out", str(first)] + FAST)
+        assert rc == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+        assert main(["scenario", "--config", str(cfg), "--out", str(again)]) == 0
+        r1, r2 = (json.loads((d / "report.json").read_text()) for d in (first, again))
+        del r1["timestamp"], r2["timestamp"]
+        assert r1 == r2
+
+    def test_n_star_with_empirical_imaginary_data_rejected(self, tmp_path, capsys):
+        rc = main(["scenario", "--dist", "normal", "--imaginary", "empirical",
+                   "--nstar", "20", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "n_star" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -297,6 +346,24 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["prior"] == "both"
         assert manifest["failures"] == [] and manifest["mh_skipped"] is True
+
+
+    @pytest.mark.parametrize("axis, points", [
+        ("gamma-skewness", "0"),
+        ("gamma-skewness", "-2"),
+        ("student-df", "3,-1"),
+        ("student-df", "nan"),
+    ])
+    def test_invalid_points_rejected_before_running(self, tmp_path, capsys,
+                                                    axis, points):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--axis", axis, "--points", points, "--n", "60",
+                   "--replications", "1", "--families", "id,log",
+                   "--methods", "quadrature", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "finite and positive" in err["message"]
+        assert not (out / "sweep.csv").exists()
 
 
 class TestParserDefaults:

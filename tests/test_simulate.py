@@ -96,6 +96,11 @@ class TestAnalysisConfig:
             AnalysisConfig(chib_draws=100)
         assert AnalysisConfig(chib_draws=500).chib_draws == 500
 
+    def test_n_star_with_empirical_imaginary_data_rejected(self):
+        with pytest.raises(ValueError, match="n_star does not apply"):
+            AnalysisConfig(n_star=20, imaginary_source="empirical")
+        assert AnalysisConfig(imaginary_source="empirical").n_star is None
+
 
 def _no_mh(*args, **kwargs):
     raise AssertionError("run_mh called by a quadrature-only analysis")
@@ -142,11 +147,13 @@ class TestGridSeededChains:
 
     @pytest.mark.parametrize("prior_kind", ["A", "B"])
     def test_chain_starts_at_the_grid_mode_with_a_fixed_step(self, prior_kind):
-        chains = {}
-        report = analyze_dataset(self.Y, prior_kind, AnalysisConfig(seed=3, **FAST_CFG),
-                                 chain_sink=chains.__setitem__)
+        report = analyze_dataset(self.Y, prior_kind, AnalysisConfig(seed=3, **FAST_CFG))
+        chains = {r.family: r.chain for r in report.results if r.chain is not None}
         assert set(chains) == set(PARAMETRIC_FAMILIES)
+        blocks = {r["family"]: r["mh"] for r in report.to_dict()["families"]}
         for family, chain in chains.items():
+            assert blocks[family.value] == {"accept_rate": chain.accept_rate,
+                                            "step_sd": chain.step_sd}, family
             result = report.result_for(family)
             diag = result.evidence["quadrature"].diagnostics
             assert chain.mode == diag["x_mode"], family
@@ -329,3 +336,19 @@ class TestRunSweep:
             SweepSpec(axis="student_df", points=())
         with pytest.raises(ValueError):
             SweepSpec(axis="student_df", points=(2.0,), replications=0)
+
+    @pytest.mark.parametrize("axis, points", [
+        ("gamma_skewness", (0.0,)),
+        ("gamma_skewness", (-2.0,)),
+        ("student_df", (3.0, -1.0)),
+        ("student_df", (math.nan,)),
+        ("gamma_skewness", (math.inf,)),
+    ])
+    def test_non_positive_or_non_finite_points_rejected_before_running(
+            self, axis, points, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran for an invalid sweep")
+
+        monkeypatch.setattr(simulate, "run_scenario", no_run)
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_sweep(SweepSpec(axis=axis, points=points, n=50, replications=1))
