@@ -197,7 +197,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--methods", default=",".join(ALL_METHODS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
-    p.add_argument("--dump-chains", action="store_true", dest="dump_chains")
+    p.add_argument("--dump-chains", action=argparse.BooleanOptionalAction,
+                   default=False, dest="dump_chains")
     p.add_argument("--config", default=None,
                    help="JSON file with defaults; explicit flags win")
 

@@ -191,7 +191,9 @@ class SelectionReport:
                     "lambda_mode": r.lambda_mode,
                     "lambda_sd": r.lambda_sd,
                     "mh": None if r.chain is None else {
-                        "accept_rate": r.chain.accept_rate, "step_sd": r.chain.step_sd},
+                        "accept_rate": r.chain.accept_rate, "step_sd": r.chain.step_sd,
+                        "table_exact_share": r.chain.table_exact_share,
+                        "table_max_error": r.chain.table_max_error},
                     "evidence": {
                         m: {"log_marginal": e.log_marginal, "mc_se": e.mc_se,
                             "diagnostics": e.diagnostics}

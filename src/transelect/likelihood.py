@@ -10,6 +10,7 @@ from scipy.special import gammaln
 
 from .errors import DegenerateTransform, MixingFailure, NonPositiveInput
 from .families import Family, PreparedData
+from .quadrature import _eval
 
 # Below this distance from a removable singularity the closed-form branch is used.
 _BRANCH_TOL = 1e-10
@@ -238,6 +239,10 @@ class PosteriorChain:
     accept_rate: float
     step_sd: float               # fixed proposal sd, sampling scale (sqrt of k*)
     mode: float                  # the start: the posterior mode, sampling scale
+    # The chain's KernelTable: the share of its cells that fell back to the
+    # exact kernel, and the largest check error of the cells it kept.
+    table_exact_share: float | None = None
+    table_max_error: float | None = None
 
     @property
     def lambda_draws(self) -> np.ndarray:
@@ -248,6 +253,57 @@ class PosteriorChain:
         return float(self.family.to_lambda(self.mode))
 
 
+# MH reads the kernel from a KernelTable over start +- TABLE_HALF_WIDTH
+# proposal sds (about 12 posterior sds) in cells of 1 / TABLE_CELLS_PER_STEP
+# proposal sd (about 1/63 posterior sd). A cell whose error at its check point
+# exceeds TABLE_TOL nats falls back to the exact kernel.
+TABLE_HALF_WIDTH = 5
+TABLE_CELLS_PER_STEP = 150
+TABLE_TOL = 1e-9
+
+
+class KernelTable:
+    """The log posterior kernel as one cubic per cell of an even grid.
+
+    Each cell's cubic interpolates the exact kernel at the cell's two ends and
+    the nodes either side of them (four-point Lagrange). Its leading error
+    term is largest at the cell's midpoint, where one array call of the exact
+    kernel checks it. A cell that touches a non-finite value or misses
+    TABLE_TOL there is None, and the exact kernel scores it, as it scores
+    every x outside the table.
+    """
+
+    def __init__(self, kernel, start: float, step_sd: float):
+        self.kernel = kernel
+        half = TABLE_HALF_WIDTH * TABLE_CELLS_PER_STEP
+        self.h = step_sd / TABLE_CELLS_PER_STEP
+        self.lo = start - half * self.h
+        self.size = 2 * half
+        f = _eval(kernel, self.lo + self.h * np.arange(-1, self.size + 2))
+        finite = np.isfinite(f)
+        f = np.where(finite, f, 0.0)
+        fm, f0, f1, f2 = f[:-3], f[1:-2], f[2:-1], f[3:]
+        coef = np.column_stack([f0, f1 - f0 / 2.0 - fm / 3.0 - f2 / 6.0,
+                                (fm + f1) / 2.0 - f0, (f2 - fm) / 6.0 + (f0 - f1) / 2.0])
+        mid = _eval(kernel, self.lo + self.h * (np.arange(self.size) + 0.5))
+        ok = finite[:-3] & finite[1:-2] & finite[2:-1] & finite[3:] & np.isfinite(mid)
+        err = np.abs(coef @ [1.0, 0.5, 0.25, 0.125] - np.where(ok, mid, 0.0))
+        ok &= err <= TABLE_TOL
+        self.cells = [c if keep else None for c, keep in zip(coef.tolist(), ok.tolist())]
+        self.exact_share = 1.0 - float(ok.mean())
+        self.max_error = float(err[ok].max(initial=0.0))
+
+    def __call__(self, x: float) -> float:
+        u = (x - self.lo) / self.h
+        if 0.0 <= u < self.size:  # False for nan
+            i = int(u)
+            c = self.cells[i]
+            if c is not None:
+                t = u - i
+                return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+        return self.kernel(x)
+
+
 def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
            seed: int) -> PosteriorChain:
     """Gaussian random-walk Metropolis-Hastings for the transformation parameter,
@@ -255,22 +311,31 @@ def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
     so proposals stay positive). The chain starts at `start`, the posterior
     mode that it reports as `mode`, and proposes with the fixed sd `step_sd`;
     the first cfg.burn_in draws are discarded; `seed` seeds the proposals and
-    the acceptance draws. Raises ValueError where the kernel is -inf at
-    `start` and MixingFailure when the post-burn-in acceptance is outside
-    [0.05, 0.95].
+    the acceptance draws. The start is scored exactly and every proposal
+    through a KernelTable, so each value is within TABLE_TOL of the exact
+    kernel at the table's check points. Raises ValueError for a non-finite
+    `start`, for a `step_sd` that is not positive and finite, and where the
+    kernel is -inf at `start`; MixingFailure when the post-burn-in acceptance
+    is outside [0.05, 0.95].
     """
     family = ctx.family
+    if not math.isfinite(start):
+        raise ValueError(f"{family.value}: start must be finite, got {start}")
+    if not (0.0 < step_sd < math.inf):
+        raise ValueError(f"{family.value}: step_sd must be positive and finite, "
+                         f"got {step_sd}")
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
     x, k = start, kernel(start)
     if k == -math.inf:
         raise ValueError(f"{family.value}: the posterior kernel is -inf at x={start}")
+    table = KernelTable(kernel, start, step_sd)
 
     rng = np.random.default_rng(seed)
     draws, kernels = np.empty(cfg.draws), np.empty(cfg.draws)
     accepted = 0
     for t in range(-cfg.burn_in, cfg.draws):
         prop = x + rng.normal(0.0, step_sd)
-        kp = kernel(prop)
+        kp = table(prop)
         if rng.random() < math.exp(min(0.0, kp - k)):
             x, k = prop, kp
             accepted += t >= 0
@@ -282,4 +347,6 @@ def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
         raise MixingFailure(
             f"post-burn-in acceptance {accept_rate:.3f} for {family.value}")
     return PosteriorChain(family=family, draws=draws, log_kernel=kernels,
-                          accept_rate=accept_rate, step_sd=step_sd, mode=start)
+                          accept_rate=accept_rate, step_sd=step_sd, mode=start,
+                          table_exact_share=table.exact_share,
+                          table_max_error=table.max_error)

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from transelect.errors import NonPositiveInput
 from transelect.families import Family, PreparedData
-from transelect.likelihood import _BRANCH_TOL, LikelihoodContext
+from transelect.likelihood import _BRANCH_TOL, LikelihoodContext, log_sampling_kernel
 
 
 def make_data(values, xi=0.0, eps=0.0) -> PreparedData:
@@ -268,3 +268,22 @@ def dense_posterior_sd(ctx, prior, lo: float, hi: float,
     w = np.exp(logw - logsumexp(logw))
     mean = float(w @ fine)
     return math.sqrt(float(w @ (fine - mean) ** 2))
+
+
+def exact_mh(ctx, prior, cfg, start: float, step_sd: float, seed: int):
+    """(draws, log_kernel, accept_rate) of `run_mh`'s random walk with every
+    proposal scored by the exact kernel: the same seed, proposals and
+    acceptance rule, and no table."""
+    x, k = start, log_sampling_kernel(ctx, prior, start)
+    rng = np.random.default_rng(seed)
+    draws, kernels = np.empty(cfg.draws), np.empty(cfg.draws)
+    accepted = 0
+    for t in range(-cfg.burn_in, cfg.draws):
+        prop = x + rng.normal(0.0, step_sd)
+        kp = log_sampling_kernel(ctx, prior, prop)
+        if rng.random() < math.exp(min(0.0, kp - k)):
+            x, k = prop, kp
+            accepted += t >= 0
+        if t >= 0:
+            draws[t], kernels[t] = x, k
+    return draws, kernels, accepted / cfg.draws

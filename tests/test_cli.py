@@ -146,8 +146,10 @@ class TestScenarioCommand:
             assert kernel == chains[family].log_kernel.tolist()
         report = json.loads((out / "report.json").read_text())["reports"][0]
         for r in report["families"]:
-            assert r["mh"] == {"accept_rate": chains[r["family"]].accept_rate,
-                               "step_sd": chains[r["family"]].step_sd}
+            chain = chains[r["family"]]
+            assert r["mh"] == {"accept_rate": chain.accept_rate, "step_sd": chain.step_sd,
+                               "table_exact_share": chain.table_exact_share,
+                               "table_max_error": chain.table_max_error}
 
     def test_dump_chains_without_chains_warns(self, tmp_path, caplog):
         out = tmp_path / "out"
@@ -185,6 +187,27 @@ class TestScenarioCommand:
         cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
         assert main(["scenario", "--config", str(cfg), "--out", str(again)]) == 0
         r1, r2 = (json.loads((d / "report.json").read_text()) for d in (first, again))
+        del r1["timestamp"], r2["timestamp"]
+        assert r1 == r2
+
+    def test_explicit_flag_overrides_replayed_dump_chains(self, tmp_path):
+        first, again, quiet = tmp_path / "first", tmp_path / "again", tmp_path / "quiet"
+        rc = main(["scenario", "--dist", "normal", "--n", "40", "--seed", "2",
+                   "--prior", "b", "--families", "id,boxcox", "--out", str(first),
+                   "--dump-chains"] + FAST)
+        assert rc == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert config["dump_chains"] is True
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["scenario", "--config", str(cfg), "--out", str(again)]) == 0
+        assert (again / "chains" / "boxcox_B.csv").exists()
+        assert main(["scenario", "--config", str(cfg), "--out", str(quiet),
+                     "--no-dump-chains"]) == 0
+        assert not (quiet / "chains").exists()
+        manifest = json.loads((quiet / "manifest.json").read_text())
+        assert manifest["config"]["dump_chains"] is False
+        r1, r2 = (json.loads((d / "report.json").read_text()) for d in (first, quiet))
         del r1["timestamp"], r2["timestamp"]
         assert r1 == r2
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,13 +9,15 @@ from scipy.stats import norm
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.evidence import evidence_quadrature
-from transelect.likelihood import (PROPOSAL_SCALE, LikelihoodContext, MhConfig,
-                                   log_sampling_kernel, run_mh)
-from transelect.priors import UnitInfoPrior, build_power_prior, make_imaginary
+from transelect.likelihood import (PROPOSAL_SCALE, TABLE_TOL, KernelTable,
+                                   LikelihoodContext, MhConfig, log_sampling_kernel,
+                                   run_mh)
+from transelect.priors import (UnitInfoPrior, build_power_prior, build_unit_info_prior,
+                               estimate_dual_anchor, make_imaginary)
 from transelect.quadrature import REAL_LIMIT
 from transelect.simulate import AnalysisConfig, ScenarioSpec, analyze_dataset, generate
 
-from _oracles import brute_force_log_evidence, make_data, mp_log_likelihood
+from _oracles import brute_force_log_evidence, exact_mh, make_data, mp_log_likelihood
 from conftest import grid_seeded_mh
 
 
@@ -287,6 +290,100 @@ class TestRunMh:
         exact = exact / exact.sum()
         tv = 0.5 * float(np.abs(emp - exact).sum())
         assert tv < 0.05, tv
+
+
+class _NoCalls:
+    """Stub context whose likelihood must never be evaluated."""
+
+    family = Family.BOXCOX
+
+    def loglik(self, lam=0.0):
+        raise AssertionError("the kernel was evaluated")
+
+
+class TestRunMhInputs:
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start):
+        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
+        with pytest.raises(ValueError, match="start must be finite"):
+            run_mh(_NoCalls(), prior, MhConfig(), start, 0.5, seed=0)
+
+    @pytest.mark.parametrize("step_sd", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_step_sd_rejected(self, step_sd):
+        prior = UnitInfoPrior(Family.BOXCOX, location=1.0, scale=0.5)
+        with pytest.raises(ValueError, match="step_sd must be positive and finite"):
+            run_mh(_NoCalls(), prior, MhConfig(), 1.0, step_sd, seed=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_cases(dist: str, prior_kind: str):
+    """(family, ctx, prior, start, step_sd) for each parametric family at n=100,
+    started as analyze_dataset starts its chains."""
+    kw = {"gamma": {"shape": 2.0, "rate": 3.0}, "student": {"df": 2.0, "ncp": -1.0}}[dist]
+    data = prepare(generate(ScenarioSpec(dist, 100, seed=1000, **kw)))
+    imaginary = make_imaginary(n_star=100, seed=7)
+    anchor = estimate_dual_anchor(imaginary)
+    cases = []
+    for family in PARAMETRIC_FAMILIES:
+        prior = (build_power_prior(family, imaginary) if prior_kind == "A"
+                 else build_unit_info_prior(family, imaginary, anchor=anchor))
+        ctx = LikelihoodContext(family, data)
+        diag = evidence_quadrature(ctx, prior).diagnostics
+        cases.append((family, ctx, prior, diag["x_mode"], PROPOSAL_SCALE * diag["x_sd"]))
+    return cases
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    @pytest.mark.parametrize("dist", ["gamma", "student"])
+    def test_chains_equal_the_exact_kernel_chains(self, dist, prior_kind):
+        cfg = MhConfig(burn_in=500, draws=2000)
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+            chain = run_mh(ctx, prior, cfg, start, step_sd, seed=11)
+            draws, log_kernel, accept_rate = exact_mh(ctx, prior, cfg, start, step_sd, 11)
+            np.testing.assert_array_equal(chain.draws, draws, err_msg=family.value)
+            assert chain.accept_rate == accept_rate, family
+            # TABLE_TOL holds at the check points, where the leading error
+            # term of a cell is largest.
+            assert np.abs(chain.log_kernel - log_kernel).max() < 10 * TABLE_TOL, family
+
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    @pytest.mark.parametrize("dist", ["gamma", "student"])
+    def test_used_cells_meet_the_bound_at_their_check_points(self, dist, prior_kind):
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+            kernel = functools.partial(log_sampling_kernel, ctx, prior)
+            table = KernelTable(kernel, start, step_sd)
+            used = np.flatnonzero([c is not None for c in table.cells])
+            assert used.size > 0, family
+            mids = table.lo + table.h * (used + 0.5)
+            err = np.abs([table(x) for x in mids] - kernel(mids))
+            # the table evaluates its cubics in another order than the check
+            assert err.max() <= TABLE_TOL + 1e-12, family
+            assert err.max() <= table.max_error + 1e-12, family
+            assert table.exact_share == 1.0 - used.size / table.size
+
+    def test_dual_power_prior_scores_some_cells_exactly(self):
+        family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]
+        assert family is Family.DUAL
+        kernel = functools.partial(log_sampling_kernel, ctx, prior)
+        table = KernelTable(kernel, start, step_sd)
+        exact = [i for i, c in enumerate(table.cells) if c is None]
+        assert 0.0 < table.exact_share < 1.0 and table.exact_share == len(exact) / table.size
+        for i in exact[:: max(1, len(exact) // 20)]:
+            x = table.lo + table.h * (i + 0.5)
+            assert table(x) == kernel(x)
+        # and so does every x outside the table
+        for x in (table.lo - table.h, table.lo + table.h * (table.size + 1)):
+            assert table(x) == kernel(x)
+
+    def test_chain_records_its_table(self):
+        family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]
+        chain = run_mh(ctx, prior, MhConfig(burn_in=0, draws=1000), start, step_sd, seed=2)
+        table = KernelTable(functools.partial(log_sampling_kernel, ctx, prior),
+                            start, step_sd)
+        assert (chain.table_exact_share, chain.table_max_error) == (
+            table.exact_share, table.max_error)
+        assert 0.0 < chain.table_max_error <= TABLE_TOL
 
 
 class TestPosteriorBands:

@@ -7,7 +7,7 @@ from scipy.stats import skew
 from transelect import simulate
 from transelect.errors import DegenerateData, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
-from transelect.likelihood import PROPOSAL_SCALE, LikelihoodContext, MhConfig
+from transelect.likelihood import PROPOSAL_SCALE, TABLE_TOL, LikelihoodContext, MhConfig
 from transelect.priors import (build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
 from transelect.quadrature import REAL_WINDOW, TAIL_TOL
@@ -152,8 +152,12 @@ class TestGridSeededChains:
         assert set(chains) == set(PARAMETRIC_FAMILIES)
         blocks = {r["family"]: r["mh"] for r in report.to_dict()["families"]}
         for family, chain in chains.items():
-            assert blocks[family.value] == {"accept_rate": chain.accept_rate,
-                                            "step_sd": chain.step_sd}, family
+            assert blocks[family.value] == {
+                "accept_rate": chain.accept_rate, "step_sd": chain.step_sd,
+                "table_exact_share": chain.table_exact_share,
+                "table_max_error": chain.table_max_error}, family
+            assert 0.0 <= chain.table_exact_share < 1.0, family
+            assert 0.0 < chain.table_max_error <= TABLE_TOL, family
             result = report.result_for(family)
             diag = result.evidence["quadrature"].diagnostics
             assert chain.mode == diag["x_mode"], family
