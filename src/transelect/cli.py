@@ -15,8 +15,9 @@ import numpy as np
 from .errors import EmptyColumn, ParseError, TranselectError
 from .families import ALL_FAMILIES, Family
 from .likelihood import MhConfig
-from .simulate import (ALL_METHODS, AnalysisConfig, ScenarioSpec, SweepSpec,
-                       analyze_dataset, generate, run_sweep)
+from .priors import IMAGINARY_SOURCES
+from .simulate import (ALL_METHODS, SCENARIO_PARAMS, AnalysisConfig, ScenarioSpec,
+                       SweepSpec, analyze_dataset, generate, run_sweep)
 
 log = logging.getLogger("transelect")
 
@@ -24,7 +25,6 @@ SWEEP_FIELDS = ["axis_value", "family", "prior", "mean_pmp",
                 "mean_lambda_mode", "replications"]
 REPORT_FIELDS = ["family", "prior", "method", "log_marginal", "mc_se",
                  "posterior_model_prob", "lambda_mode", "lambda_sd"]
-SCENARIO_PARAMS = ("mu", "sigma", "shape", "rate", "df", "ncp")
 
 
 def ingest_csv(path, column) -> np.ndarray:
@@ -74,14 +74,14 @@ def ingest_csv(path, column) -> np.ndarray:
 
 def _parse_families(text: str) -> tuple[Family, ...]:
     wanted = [t.strip().lower() for t in text.split(",") if t.strip()]
-    by_value = {f.value: f for f in ALL_FAMILIES}
     aliases = {"yj": "yeojohnson", "bc": "boxcox", "mod": "modulus"}
     fams = []
     for w in wanted:
         w = aliases.get(w, w)
-        if w not in by_value:
-            raise ValueError(f"unknown family: {w}")
-        fams.append(by_value[w])
+        try:
+            fams.append(Family(w))
+        except ValueError:
+            raise ValueError(f"unknown family: {w}") from None
     return tuple(fams)
 
 
@@ -100,7 +100,7 @@ def _priors_for(arg: str) -> list[str]:
 
 def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -124,11 +124,15 @@ def _run_analysis(y: np.ndarray, args) -> None:
                 w.writerows([i, repr(float(l)), repr(float(k))] for i, (l, k)
                             in enumerate(zip(r.chain.lambda_draws, r.chain.log_kernel)))
 
+    dicts = [r.to_dict() for r in reports]
     (out / "report.json").write_text(
-        json.dumps({"reports": [r.to_dict() for r in reports], "timestamp": _timestamp()},
-                   indent=2, sort_keys=True))
-    _write_csv(out / "report.csv", REPORT_FIELDS,
-               [row for r in reports for row in r.csv_rows()])
+        json.dumps({"reports": dicts, "timestamp": _timestamp()}, indent=2, sort_keys=True))
+    # report.csv flattens the same dicts: one row per family and evidence
+    # method, the family's fields beside that method's estimate
+    rows = [{**fam, **est, "prior": fam["prior_kind"], "method": method}
+            for d in dicts for fam in d["families"]
+            for method, est in fam["evidence"].items()]
+    _write_csv(out / "report.csv", REPORT_FIELDS, rows)
     _write_manifest(out, args, cfg, **reports[0].setup)  # the same for every prior
     print(f"wrote report.json, report.csv, manifest.json to {out}")
 
@@ -166,6 +170,7 @@ def _cmd_sweep(args) -> None:
                         prior_kind=prior_kind, replications=args.replications,
                         seed=args.seed)
               for prior_kind in _priors_for(args.prior)]
+    cfg.n_star_for(args.n)  # refuse a sweep that no replication can finish
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_chains:
@@ -192,8 +197,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--draws", type=int, default=MhConfig.draws)
     p.add_argument("--chib-j", type=int, default=AnalysisConfig.chib_draws, dest="chib_j")
     p.add_argument("--nstar", type=int, default=None)
-    p.add_argument("--imaginary", choices=["simulated", "empirical"],
-                   default="simulated")
+    p.add_argument("--imaginary", choices=IMAGINARY_SOURCES,
+                   default=AnalysisConfig.imaginary_source)
     p.add_argument("--methods", default=",".join(ALL_METHODS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")

@@ -1,4 +1,5 @@
-"""Marginal-likelihood estimators and posterior model probabilities."""
+"""Marginal-likelihood estimators and posterior model probabilities. A prior
+needs only `log_density(x)`, on the family's sampling scale x, and `window`."""
 from __future__ import annotations
 
 import functools
@@ -116,16 +117,8 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
     sd from the trapezoid weights.
     """
     family = ctx.family
-    window = None
-    if prior.kind == "B":
-        # Start from the prior's own 10-sigma window (its location and scale
-        # are on the sampling scale) so that arbitrarily narrow priors are
-        # still resolved by the initial grid; expansion widens it whenever the
-        # likelihood pushes mass outside.
-        window = (prior.location - 10.0 * prior.scale,
-                  prior.location + 10.0 * prior.scale)
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
-    grid = sampling_integral(kernel, family.on_log_scale, window)
+    grid = sampling_integral(kernel, family.on_log_scale, prior.window)
 
     w = grid.weights()
     lam = family.to_lambda(grid.xs)
@@ -155,6 +148,10 @@ class FamilyResult:
     chain: PosteriorChain | None = None    # the MH output, when MH ran
 
 
+def _family_order(result: FamilyResult) -> int:  # for reports and ranking ties
+    return ALL_FAMILIES.index(result.family)
+
+
 @dataclass
 class SelectionReport:
     prior_kind: str
@@ -164,10 +161,8 @@ class SelectionReport:
 
     @property
     def ranking(self) -> list[Family]:
-        order = {fam: i for i, fam in enumerate(ALL_FAMILIES)}
         return [r.family for r in sorted(
-            self.results,
-            key=lambda r: (-r.posterior_model_prob, order[r.family]))]
+            self.results, key=lambda r: (-r.posterior_model_prob, _family_order(r)))]
 
     def result_for(self, family: Family) -> FamilyResult:
         for r in self.results:
@@ -204,22 +199,6 @@ class SelectionReport:
             ],
         }
 
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.results:
-            for method, est in sorted(r.evidence.items()):
-                rows.append({
-                    "family": r.family.value,
-                    "prior": r.prior_kind,
-                    "method": method,
-                    "log_marginal": est.log_marginal,
-                    "mc_se": "" if est.mc_se is None else est.mc_se,
-                    "posterior_model_prob": r.posterior_model_prob,
-                    "lambda_mode": "" if r.lambda_mode is None else r.lambda_mode,
-                    "lambda_sd": "" if r.lambda_sd is None else r.lambda_sd,
-                })
-        return rows
-
 
 def _prob_estimate(result: FamilyResult, prob_method: str) -> EvidenceEstimate:
     if CLOSED_FORM in result.evidence:
@@ -239,8 +218,7 @@ def posterior_model_probs(results: list[FamilyResult], prior_kind: str,
     family must carry closed-form or prob_method evidence.
     """
     chosen = {r.family: _prob_estimate(r, prob_method) for r in results}
-    order = {fam: i for i, fam in enumerate(ALL_FAMILIES)}
-    results = sorted(results, key=lambda r: order[r.family])
+    results = sorted(results, key=_family_order)
     logs = np.array([chosen[r.family].log_marginal for r in results])
     # Subtracting the maximum before exponentiating keeps the normalization
     # stable and nearly exactly invariant to common shifts of the inputs.

@@ -52,9 +52,8 @@ class Family(Enum):
         return abs(lam) < math.inf
 
 
-PARAMETRIC_FAMILIES = (Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON, Family.DUAL)
-ALL_FAMILIES = (Family.ID, Family.LOG, Family.BOXCOX, Family.MODULUS,
-                Family.YEOJOHNSON, Family.DUAL)
+ALL_FAMILIES = tuple(Family)
+PARAMETRIC_FAMILIES = tuple(f for f in Family if f.has_lambda)
 
 
 @dataclass(frozen=True)

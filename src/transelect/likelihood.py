@@ -194,7 +194,10 @@ class LikelihoodContext:
         batch = isinstance(lam, np.ndarray)
         if not self.family.has_lambda:
             return np.full(lam.shape, self._fixed) if batch else self._fixed
-        if not batch:  # MH's steps: 2-3x cheaper than one-lambda blocks
+        # A float costs a third to two thirds of a one-lambda block. It serves
+        # the Brent searches (refine_mode, the Dual anchor), each chain's start
+        # and Chib's log k*, and the cells a KernelTable scores exactly.
+        if not batch:
             return float(self._score(lam)) if self.family.in_domain(lam) else -math.inf
         out = np.full(lam.shape, -np.inf)
         inside = np.flatnonzero(self.family.in_domain(lam))

@@ -14,6 +14,7 @@ from .likelihood import LikelihoodContext
 from .quadrature import sampling_integral
 
 MIN_N_STAR = 10
+IMAGINARY_SOURCES = ("simulated", "empirical")
 
 
 @dataclass
@@ -44,16 +45,17 @@ class ImaginaryData:
 def make_imaginary(n_star: int = 100, source: str = "simulated",
                    seed: int = 0, observed=None) -> ImaginaryData:
     """Simulated standard-normal imaginary data, or a standardized copy of the observed."""
+    if source not in IMAGINARY_SOURCES:
+        raise ValueError(f"unknown imaginary-data source {source!r}; "
+                         f"choose from {list(IMAGINARY_SOURCES)}")
     if source == "simulated":
         if n_star < MIN_N_STAR:
             raise ValueError(f"n_star must be at least {MIN_N_STAR}")
         values = np.random.default_rng(seed).normal(size=n_star)
-    elif source == "empirical":
+    else:
         if observed is None:
             raise ValueError("empirical source requires the observed data")
         values = np.asarray(observed, dtype=float)
-    else:
-        raise ValueError(f"unknown imaginary-data source: {source}")
     return ImaginaryData(prepared=prepare(values))
 
 
@@ -111,6 +113,7 @@ class PowerPrior:
     imaginary: ImaginaryData
     log_norm_const: float
     kind: ClassVar[str] = "A"
+    window: ClassVar[None] = None  # quadrature starts from the sampling scale's default
 
     def log_density(self, x):
         """Log density at the sampling-scale point x: the imaginary-data log
@@ -136,6 +139,12 @@ class UnitInfoPrior:
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"prior scale must be positive and finite, got {self.scale}")
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """The 10-sigma window quadrature starts from, so that its first grid resolves
+        arbitrarily narrow priors; the grid grows wherever the likelihood pushes mass."""
+        return (self.location - 10.0 * self.scale, self.location + 10.0 * self.scale)
 
     def log_density(self, x):
         """Normal log density at the sampling-scale point x, a float or a numpy array."""

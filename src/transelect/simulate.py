@@ -14,10 +14,12 @@ from .evidence import (CHIB, LAPLACE_METROPOLIS, MIN_CHIB_DRAWS, QUADRATURE,
                        evidence_quadrature, posterior_model_probs)
 from .families import ALL_FAMILIES, Family, prepare
 from .likelihood import PROPOSAL_SCALE, LikelihoodContext, MhConfig, run_mh
-from .priors import (MIN_N_STAR, build_power_prior, build_unit_info_prior,
-                     estimate_dual_anchor, make_imaginary)
+from .priors import (IMAGINARY_SOURCES, MIN_N_STAR, build_power_prior,
+                     build_unit_info_prior, estimate_dual_anchor, make_imaginary)
 
 ALL_METHODS = (CHIB, LAPLACE_METROPOLIS, QUADRATURE)
+PRIOR_KINDS = ("A", "B")
+SCENARIO_PARAMS = ("mu", "sigma", "shape", "rate", "df", "ncp")
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +47,9 @@ class ScenarioSpec:
             raise ValueError(f"unknown distribution: {self.distribution}")
         if self.n < 3:
             raise ValueError("n must be at least 3")
+        params = {k: getattr(self, k) for k in SCENARIO_PARAMS}
+        if not all(math.isfinite(v) for v in params.values()):
+            raise ValueError(f"distribution parameters must be finite, got {params}")
         if self.sigma <= 0 or self.shape <= 0 or self.rate <= 0 or self.df <= 0:
             raise ValueError("distribution parameters must be positive")
 
@@ -75,9 +80,14 @@ class AnalysisConfig:
             raise ValueError("at least one family required")
         if not self.methods:
             raise ValueError("at least one evidence method required")
+        if self.imaginary_source not in IMAGINARY_SOURCES:
+            raise ValueError(f"unknown imaginary-data source {self.imaginary_source!r}; "
+                             f"choose from {list(IMAGINARY_SOURCES)}")
         if self.n_star is not None and self.imaginary_source == "empirical":
             raise ValueError("n_star does not apply to empirical imaginary data, "
                              "which are the observed data")
+        if self.n_star is not None and self.n_star < MIN_N_STAR:
+            raise ValueError(f"n_star must be at least {MIN_N_STAR}, got {self.n_star}")
         if self.chib_draws < MIN_CHIB_DRAWS:
             raise ValueError(f"chib_draws must be at least {MIN_CHIB_DRAWS}, "
                              f"got {self.chib_draws}")
@@ -97,6 +107,18 @@ class AnalysisConfig:
         """Whether an estimator needs the MH chain; quadrature alone does not."""
         return CHIB in self.methods or LAPLACE_METROPOLIS in self.methods
 
+    def n_star_for(self, n: int) -> int:
+        """The imaginary-data size for n observations: n_star if set, else n.
+        Raises DegenerateData when simulated imaginary data would get fewer
+        than MIN_N_STAR observations that way."""
+        if self.n_star is not None:
+            return self.n_star
+        if self.imaginary_source == "simulated" and n < MIN_N_STAR:
+            raise DegenerateData(
+                f"n={n} observations: the imaginary data default to n_star=n, "
+                f"which must be at least {MIN_N_STAR}; set n_star (--nstar)")
+        return n
+
 
 def _child_seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=root, spawn_key=key)
@@ -114,15 +136,10 @@ def analyze_dataset(y, prior_kind: str, cfg: AnalysisConfig) -> SelectionReport:
     The report's `setup` records the prepared data's n, shift xi and epsilon,
     the imaginary data's n_star, and the Dual anchor.
     """
-    if prior_kind not in ("A", "B"):
+    if prior_kind not in PRIOR_KINDS:
         raise ValueError(f"prior_kind must be 'A' or 'B', got {prior_kind}")
     data = prepare(y)
-    if cfg.n_star is None and cfg.imaginary_source == "simulated" and data.n < MIN_N_STAR:
-        raise DegenerateData(
-            f"n={data.n} observations: the imaginary data default to n_star=n, "
-            f"which must be at least {MIN_N_STAR}; set n_star (--nstar)")
-    n_star = cfg.n_star if cfg.n_star is not None else data.n
-    imaginary = make_imaginary(n_star=n_star, source=cfg.imaginary_source,
+    imaginary = make_imaginary(n_star=cfg.n_star_for(data.n), source=cfg.imaginary_source,
                                seed=_child_seed(cfg.seed, 99),
                                observed=data.raw)
     anchor = estimate_dual_anchor(imaginary)
@@ -204,6 +221,10 @@ class SweepSpec:
             raise ValueError(f"sweep axis points must be finite and positive, got {bad}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.n < 3:
+            raise ValueError("n must be at least 3")
+        if self.prior_kind not in PRIOR_KINDS:
+            raise ValueError(f"prior_kind must be 'A' or 'B', got {self.prior_kind}")
 
 
 def _sweep_scenario(sweep: SweepSpec, point, seed: int) -> ScenarioSpec:
@@ -223,8 +244,12 @@ def run_sweep(sweep: SweepSpec, cfg: AnalysisConfig | None = None,
     on_point, if given, receives each point's rows as they complete. A
     replication that raises a TranselectError is logged, passed to on_failure
     as a dict, and left out of its point's rows, whose `replications` counts
-    the replications that succeeded; the sweep goes on.
+    the replications that succeeded; the sweep goes on. A sweep whose n
+    leaves the imaginary data too small (see AnalysisConfig.n_star_for)
+    raises DegenerateData before any replication runs.
     """
+    cfg = cfg if cfg is not None else AnalysisConfig()
+    cfg.n_star_for(sweep.n)
     rows: list[dict] = []
     for p_idx, point in enumerate(sweep.points):
         probs: dict[Family, list[float]] = {f: [] for f in ALL_FAMILIES}
@@ -232,10 +257,8 @@ def run_sweep(sweep: SweepSpec, cfg: AnalysisConfig | None = None,
         for rep in range(sweep.replications):
             cell_seed = _child_seed(sweep.seed, p_idx, rep)
             spec = _sweep_scenario(sweep, point, cell_seed)
-            run_cfg = cfg if cfg is not None else AnalysisConfig()
-            run_cfg = replace(run_cfg, seed=cell_seed)
             try:
-                report = run_scenario(spec, sweep.prior_kind, run_cfg)
+                report = run_scenario(spec, sweep.prior_kind, replace(cfg, seed=cell_seed))
             except TranselectError as exc:
                 failure = {"prior": sweep.prior_kind, "axis_value": float(point),
                            "replication": rep, "seed": cell_seed,

@@ -302,6 +302,15 @@ class TestScenarioCommand:
         assert err["error"] == "ValueError" and "chib_draws" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_small_n_star_rejected_before_the_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "o1"
+        rc = main(["scenario", "--dist", "normal", "--n", "50", "--nstar", "5",
+                   "--methods", "quadrature", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "n_star must be at least 10, got 5"}
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_analyze_csv_roundtrip(self, tmp_path):
@@ -387,6 +396,29 @@ class TestSweepCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and "finite and positive" in err["message"]
         assert not (out / "sweep.csv").exists()
+
+    def test_sweep_too_small_for_the_imaginary_data_is_refused(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran for a sweep that cannot succeed")
+
+        monkeypatch.setattr(simulate, "run_scenario", no_run)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--axis", "student-df", "--points", "3", "--n", "5",
+                   "--replications", "2", "--methods", "quadrature", "--prior", "a",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DegenerateData" and "--nstar" in err["message"]
+        assert not out.exists()
+
+    def test_sweep_with_small_n_runs_given_n_star(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--axis", "student-df", "--points", "3", "--n", "8",
+                   "--nstar", "20", "--replications", "1", "--families", "id,log",
+                   "--methods", "quadrature", "--prior", "a", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["failures"] == []
 
 
 class TestParserDefaults:

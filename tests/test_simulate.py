@@ -33,6 +33,12 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec("normal", 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("param", simulate.SCENARIO_PARAMS)
+    def test_non_finite_parameters_rejected(self, param, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioSpec("normal", 50, **{param: value})
+
 
 class TestGenerate:
     def test_normal_moments(self):
@@ -100,6 +106,23 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError, match="n_star does not apply"):
             AnalysisConfig(n_star=20, imaginary_source="empirical")
         assert AnalysisConfig(imaginary_source="empirical").n_star is None
+
+    @pytest.mark.parametrize("source", ["emp", "Simulated", ""])
+    def test_unknown_imaginary_source_rejected(self, source):
+        with pytest.raises(ValueError, match="unknown imaginary-data source"):
+            AnalysisConfig(imaginary_source=source)
+
+    def test_small_explicit_n_star_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="n_star must be at least 10"):
+            AnalysisConfig(n_star=9)
+        assert AnalysisConfig(n_star=10).n_star == 10
+
+    def test_n_star_for_n_observations(self):
+        assert AnalysisConfig().n_star_for(10) == 10
+        assert AnalysisConfig(n_star=40).n_star_for(5) == 40
+        assert AnalysisConfig(imaginary_source="empirical").n_star_for(5) == 5
+        with pytest.raises(DegenerateData, match=r"n=9 .*--nstar"):
+            AnalysisConfig().n_star_for(9)
 
 
 def _no_mh(*args, **kwargs):
@@ -340,6 +363,19 @@ class TestRunSweep:
             SweepSpec(axis="student_df", points=())
         with pytest.raises(ValueError):
             SweepSpec(axis="student_df", points=(2.0,), replications=0)
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            SweepSpec(axis="student_df", points=(2.0,), n=2)
+        with pytest.raises(ValueError, match="prior_kind"):
+            SweepSpec(axis="student_df", points=(2.0,), prior_kind="C")
+
+    def test_too_small_n_for_the_imaginary_data_refused_before_running(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran for a sweep that cannot succeed")
+
+        monkeypatch.setattr(simulate, "run_scenario", no_run)
+        sweep = SweepSpec(axis="student_df", points=(3.0,), n=5, replications=2)
+        with pytest.raises(DegenerateData, match=r"n=5 .*--nstar"):
+            run_sweep(sweep, AnalysisConfig(methods=("quadrature",)))
 
     @pytest.mark.parametrize("axis, points", [
         ("gamma_skewness", (0.0,)),
