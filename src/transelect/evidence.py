@@ -188,7 +188,8 @@ class SelectionReport:
                     "mh": None if r.chain is None else {
                         "accept_rate": r.chain.accept_rate, "step_sd": r.chain.step_sd,
                         "table_exact_share": r.chain.table_exact_share,
-                        "table_max_error": r.chain.table_max_error},
+                        "table_max_error": r.chain.table_max_error,
+                        "exact_steps": r.chain.exact_steps},
                     "evidence": {
                         m: {"log_marginal": e.log_marginal, "mc_se": e.mc_se,
                             "diagnostics": e.diagnostics}

@@ -149,7 +149,8 @@ class TestScenarioCommand:
             chain = chains[r["family"]]
             assert r["mh"] == {"accept_rate": chain.accept_rate, "step_sd": chain.step_sd,
                                "table_exact_share": chain.table_exact_share,
-                               "table_max_error": chain.table_max_error}
+                               "table_max_error": chain.table_max_error,
+                               "exact_steps": chain.exact_steps}
 
     def test_dump_chains_without_chains_warns(self, tmp_path, caplog):
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.stats import norm
 
+from transelect import likelihood
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.evidence import evidence_quadrature
@@ -316,12 +317,12 @@ class TestRunMhInputs:
 
 
 @functools.lru_cache(maxsize=None)
-def _table_cases(dist: str, prior_kind: str):
-    """(family, ctx, prior, start, step_sd) for each parametric family at n=100,
+def _table_cases(dist: str, prior_kind: str, n: int = 100):
+    """(family, ctx, prior, start, step_sd) for each parametric family at n,
     started as analyze_dataset starts its chains."""
     kw = {"gamma": {"shape": 2.0, "rate": 3.0}, "student": {"df": 2.0, "ncp": -1.0}}[dist]
-    data = prepare(generate(ScenarioSpec(dist, 100, seed=1000, **kw)))
-    imaginary = make_imaginary(n_star=100, seed=7)
+    data = prepare(generate(ScenarioSpec(dist, n, seed=1000, **kw)))
+    imaginary = make_imaginary(n_star=n, seed=7)
     anchor = estimate_dual_anchor(imaginary)
     cases = []
     for family in PARAMETRIC_FAMILIES:
@@ -333,12 +334,53 @@ def _table_cases(dist: str, prior_kind: str):
     return cases
 
 
+_ALL_TABLE_CASES = pytest.mark.parametrize(
+    "dist, prior_kind", [(d, p) for d in ("gamma", "student") for p in "AB"],
+    ids=lambda v: v)
+
+
+class _Counted:
+    """A kernel that records the size of each call: 0 for a float."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, []
+
+    def __call__(self, x):
+        self.calls.append(np.size(x) if isinstance(x, np.ndarray) else 0)
+        return self.kernel(x)
+
+
+def _cubic(c, t):
+    return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+
+
+def _split_all(table):
+    """Split every cell of `table` that may split, through calls at the
+    cells' midpoints that cannot reject; (left end, width, sub-cells, their
+    bounded dict) per split cell."""
+    out = []
+    for i, b in sorted(table.bounded.items()):
+        if b[2] is None:
+            continue
+        left = table.lo + table.h * i
+        table(left + 0.5 * table.h)
+        cells, sub = b[2]
+        out.append((left, table.h / len(cells), cells, sub))
+    return out
+
+
 class TestKernelTable:
-    @pytest.mark.parametrize("prior_kind", ["A", "B"])
-    @pytest.mark.parametrize("dist", ["gamma", "student"])
-    def test_chains_equal_the_exact_kernel_chains(self, dist, prior_kind):
+    @pytest.mark.parametrize("dist, prior_kind, n", [
+        pytest.param("gamma", "A", 100, id="gamma-A"),
+        pytest.param("gamma", "B", 100, id="gamma-B"),
+        pytest.param("student", "A", 100, id="student-A"),
+        pytest.param("student", "B", 100, id="student-B"),
+        # a split's array call costs more per point at n = 1000
+        pytest.param("gamma", "A", 1000, id="gamma-A-n1000"),
+    ])
+    def test_chains_equal_the_exact_kernel_chains(self, dist, prior_kind, n):
         cfg = MhConfig(burn_in=500, draws=2000)
-        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind, n):
             chain = run_mh(ctx, prior, cfg, start, step_sd, seed=11)
             draws, log_kernel, accept_rate = exact_mh(ctx, prior, cfg, start, step_sd, 11)
             np.testing.assert_array_equal(chain.draws, draws, err_msg=family.value)
@@ -347,8 +389,7 @@ class TestKernelTable:
             # term of a cell is largest.
             assert np.abs(chain.log_kernel - log_kernel).max() < 10 * TABLE_TOL, family
 
-    @pytest.mark.parametrize("prior_kind", ["A", "B"])
-    @pytest.mark.parametrize("dist", ["gamma", "student"])
+    @_ALL_TABLE_CASES
     def test_used_cells_meet_the_bound_at_their_check_points(self, dist, prior_kind):
         for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
             kernel = functools.partial(log_sampling_kernel, ctx, prior)
@@ -361,20 +402,90 @@ class TestKernelTable:
             assert err.max() <= TABLE_TOL + 1e-12, family
             assert err.max() <= table.max_error + 1e-12, family
             assert table.exact_share == 1.0 - used.size / table.size
+            # and so do the sub-cells that splits keep, which leave the
+            # grid's own figures as they were
+            share, max_error = table.exact_share, table.max_error
+            for left, h, cells, _ in _split_all(table):
+                kept = np.flatnonzero([c is not None for c in cells])
+                mids = left + h * (kept + 0.5)
+                err = np.abs([table(x) for x in mids] - kernel(mids))
+                assert err.max(initial=0.0) <= TABLE_TOL + 1e-12, family
+            assert (table.exact_share, table.max_error) == (share, max_error)
+
+    @_ALL_TABLE_CASES
+    def test_bounded_cells_hold_half_their_bound_inside(self, dist, prior_kind):
+        # B is four times the midpoint error plus REJECT_SLACK; the exact
+        # kernel stays within half of that at 15 interior points of each cell.
+        t = np.arange(1, 16) / 16.0
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+            kernel = functools.partial(log_sampling_kernel, ctx, prior)
+            table = KernelTable(kernel, start, step_sd)
+            for i, (c, bound, _) in table.bounded.items():
+                err = np.abs(_cubic(c, t) - kernel(table.lo + table.h * (i + t)))
+                assert err.max() <= bound / 2.0, (family, i)
+
+    def test_rejection_below_the_bar_calls_no_exact_kernel(self):
+        family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]
+        kernel = _Counted(functools.partial(log_sampling_kernel, ctx, prior))
+        table = KernelTable(kernel, start, step_sd)
+        assert kernel.calls == [2 * table.size + 3]
+        splittable = [i for i, b in table.bounded.items() if b[2] is not None]
+        exact = [i for i, b in table.bounded.items() if b[2] is None]
+        assert splittable and exact
+        for i in splittable[::5] + exact[::20]:
+            c, bound, r = table.bounded[i]
+            x, v = table.lo + table.h * (i + 0.3), _cubic(c, 0.3)
+            assert table(x, v + bound + 1e-3) == pytest.approx(v, rel=1e-12, abs=1e-9)
+            assert table.bounded[i][2] == r, "a rejection splits nothing"
+        assert len(kernel.calls) == 1 and table.exact_steps == 0
+        # a bar at or below cubic + B takes no shortcut: the cell is split or
+        # scored exactly, and with a bar of -inf nothing can reject
+        for k, i in enumerate(splittable[:4] + exact[:4]):
+            c, bound, _ = table.bounded[i]
+            x, v = table.lo + table.h * (i + 0.3), _cubic(c, 0.3)
+            del kernel.calls[:]
+            got = table(x, -math.inf if k % 2 else v + bound / 2.0)
+            assert kernel.calls, i
+            if k % 2 or i in exact:
+                assert abs(got - kernel.kernel(x)) <= TABLE_TOL, i
+
+    @_ALL_TABLE_CASES
+    def test_split_cells_meet_the_tolerance_or_are_exact(self, dist, prior_kind):
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+            kernel = _Counted(functools.partial(log_sampling_kernel, ctx, prior))
+            table = KernelTable(kernel, start, step_sd)
+            i = next((i for i, b in table.bounded.items() if b[2] is not None), None)
+            if i is not None:  # one array call per split
+                del kernel.calls[:]
+                table(table.lo + table.h * (i + 0.5))
+                r = len(table.bounded[i][2][0])
+                assert kernel.calls[0] == 2 * r + 3 and max(kernel.calls[1:], default=0) == 0
+            for left, h, cells, sub in _split_all(table):
+                for j, c in enumerate(cells):
+                    x = left + h * (j + 0.5)
+                    if c is not None:
+                        assert abs(_cubic(c, 0.5) - kernel.kernel(x)) <= TABLE_TOL, family
+                    else:
+                        assert table(x, -math.inf) == kernel.kernel(x), family
+                        assert j in sub or not np.isfinite(kernel.kernel(x)), family
 
     def test_dual_power_prior_scores_some_cells_exactly(self):
         family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]
         assert family is Family.DUAL
         kernel = functools.partial(log_sampling_kernel, ctx, prior)
         table = KernelTable(kernel, start, step_sd)
-        exact = [i for i, c in enumerate(table.cells) if c is None]
-        assert 0.0 < table.exact_share < 1.0 and table.exact_share == len(exact) / table.size
+        missed = [i for i, c in enumerate(table.cells) if c is None]
+        assert 0.0 < table.exact_share < 1.0 and table.exact_share == len(missed) / table.size
+        # cells whose error would need more than MAX_SPLIT sub-cells stay exact
+        exact = [i for i in missed if table.bounded.get(i, (0, 0, None))[2] is None]
+        assert exact
         for i in exact[:: max(1, len(exact) // 20)]:
             x = table.lo + table.h * (i + 0.5)
             assert table(x) == kernel(x)
         # and so does every x outside the table
         for x in (table.lo - table.h, table.lo + table.h * (table.size + 1)):
             assert table(x) == kernel(x)
+        assert table.exact_steps == len(exact[:: max(1, len(exact) // 20)]) + 2
 
     def test_chain_records_its_table(self):
         family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]
@@ -384,6 +495,24 @@ class TestKernelTable:
         assert (chain.table_exact_share, chain.table_max_error) == (
             table.exact_share, table.max_error)
         assert 0.0 < chain.table_max_error <= TABLE_TOL
+
+    def test_exact_steps_counts_the_proposals_scored_exactly(self, monkeypatch):
+        # A flat likelihood under a normal prior: every cell keeps its cubic,
+        # and a table of +-5 steps of 0.5 prior sd leaves the proposals
+        # beyond 2.5 prior sds to the exact kernel.
+        scalar = []
+
+        def counted(ctx, prior, x):
+            scalar.append(not isinstance(x, np.ndarray))
+            return log_sampling_kernel(ctx, prior, x)
+
+        monkeypatch.setattr(likelihood, "log_sampling_kernel", counted)
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0)
+        chain = run_mh(_FlatLikelihood(), prior, MhConfig(burn_in=0, draws=5000),
+                       0.0, 0.5, seed=4)
+        assert chain.table_exact_share == 0.0
+        assert chain.exact_steps > 0
+        assert chain.exact_steps == sum(scalar) - 1  # the start
 
 
 class TestPosteriorBands:

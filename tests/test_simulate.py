@@ -178,7 +178,8 @@ class TestGridSeededChains:
             assert blocks[family.value] == {
                 "accept_rate": chain.accept_rate, "step_sd": chain.step_sd,
                 "table_exact_share": chain.table_exact_share,
-                "table_max_error": chain.table_max_error}, family
+                "table_max_error": chain.table_max_error,
+                "exact_steps": chain.exact_steps}, family
             assert 0.0 <= chain.table_exact_share < 1.0, family
             assert 0.0 < chain.table_max_error <= TABLE_TOL, family
             result = report.result_for(family)
