@@ -194,9 +194,12 @@ class LikelihoodContext:
         batch = isinstance(lam, np.ndarray)
         if not self.family.has_lambda:
             return np.full(lam.shape, self._fixed) if batch else self._fixed
-        # A float costs a third to two thirds of a one-lambda block. It serves
-        # the Brent searches (refine_mode, the Dual anchor), each chain's start
-        # and Chib's log k*, and the cells a KernelTable scores exactly.
+        # A float costs a third to a half of a one-lambda block. It serves the
+        # Brent searches (refine_mode, the Dual anchor), the kernel at the
+        # quadrature grid's argmax, each chain's start, Chib's log k*,
+        # Laplace-Metropolis's kernel at the mode, and the proposals outside a
+        # KernelTable; under prior A, each kernel call also scores the power
+        # prior's imaginary data.
         if not batch:
             return float(self._score(lam)) if self.family.in_domain(lam) else -math.inf
         out = np.full(lam.shape, -np.inf)
@@ -323,15 +326,15 @@ class KernelTable:
 
     `_fit` gives each cell's cubic and its check error. A call at x returns
     the cubic of x's cell where it meets TABLE_TOL, and also where the cubic
-    plus the cell's bound B is below `bar`: MH passes k + log u, so such a
-    proposal is rejected whatever its exact value. A cell that can do neither
-    is split on first use into r sub-cells, which one more array call fits
-    and bounds the same way, and x is read from its sub-cell. The exact
-    kernel scores the rest: a cell or sub-cell that misses TABLE_TOL where it
-    cannot reject, a cell whose r exceeds MAX_SPLIT or that touches a
-    non-finite value, and every x outside the table. So every value the table
-    returns at or above the bar is exact or TABLE_TOL-checked. `exact_steps`
-    counts the exact calls.
+    plus the cell's bound B is below `bar`: MH accepts a proposal exactly
+    when its kernel is above the bar k + log u, so it rejects this one
+    whatever its exact value. A cell that can do neither is split on first
+    use into r sub-cells, which one more array call fits and bounds the same
+    way, and x is read from its sub-cell. The exact kernel scores the rest:
+    a cell or sub-cell that misses TABLE_TOL where it cannot reject, a cell
+    whose r exceeds MAX_SPLIT or that touches a non-finite value, and every
+    x outside the table. So every value the table returns at or above the
+    bar is exact or TABLE_TOL-checked. `exact_steps` counts the exact calls.
     """
 
     def __init__(self, kernel, start: float, step_sd: float):
@@ -391,13 +394,13 @@ def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
     mode that it reports as `mode`, and proposes with the fixed sd `step_sd`;
     the first cfg.burn_in draws are discarded; `seed` seeds the proposals and
     the acceptance draws. The start is scored exactly and every proposal
-    through a KernelTable. Each step draws its u before scoring the proposal
-    and passes the bar k + log u (-inf where u = 0), below which the proposal
-    is rejected: the table may then answer with a cubic of bounded error, so
+    through a KernelTable. A proposal is accepted exactly when its kernel is
+    above the bar k + log u (-inf where u = 0); nan never is. The table may
+    answer a proposal it can show is below the bar with a bounded cubic, so
     every accepted value is exact or within TABLE_TOL of the exact kernel at
-    its cell's check point. Raises ValueError for a non-finite
-    `start`, for a `step_sd` that is not positive and finite, and where the
-    kernel is -inf at `start`; MixingFailure when the post-burn-in acceptance
+    its cell's check point. Raises ValueError for a non-finite `start`, for a
+    `step_sd` that is not positive and finite, and where the kernel at
+    `start` is -inf or nan; MixingFailure when the post-burn-in acceptance
     is outside [0.05, 0.95].
     """
     family = ctx.family
@@ -408,20 +411,21 @@ def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
                          f"got {step_sd}")
     kernel = functools.partial(log_sampling_kernel, ctx, prior)
     x, k = start, kernel(start)
-    if k == -math.inf:
-        raise ValueError(f"{family.value}: the posterior kernel is -inf at x={start}")
+    if not k > -math.inf:
+        raise ValueError(f"{family.value}: the posterior kernel is {k} at x={start}")
     table = KernelTable(kernel, start, step_sd)
 
     rng = np.random.default_rng(seed)
     draws, kernels = np.empty(cfg.draws), np.empty(cfg.draws)
     accepted = 0
     # bound once: attribute lookups are a tenth of a table step
-    normal, random, log, exp = rng.normal, rng.random, math.log, math.exp
+    normal, random, log = rng.normal, rng.random, math.log
     for t in range(-cfg.burn_in, cfg.draws):
         prop = x + normal(0.0, step_sd)
         u = random()
-        kp = table(prop, k + log(u) if u > 0.0 else -math.inf)
-        if u < exp(min(0.0, kp - k)):
+        bar = k + log(u) if u > 0.0 else -math.inf
+        kp = table(prop, bar)
+        if kp > bar:  # False for nan
             x, k = prop, kp
             accepted += t >= 0
         if t >= 0:

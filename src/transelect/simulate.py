@@ -24,6 +24,11 @@ SCENARIO_PARAMS = ("mu", "sigma", "shape", "rate", "df", "ncp")
 log = logging.getLogger(__name__)
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulated dataset: distribution, size, seed.
@@ -47,6 +52,7 @@ class ScenarioSpec:
             raise ValueError(f"unknown distribution: {self.distribution}")
         if self.n < 3:
             raise ValueError("n must be at least 3")
+        _check_seed(self.seed)
         params = {k: getattr(self, k) for k in SCENARIO_PARAMS}
         if not all(math.isfinite(v) for v in params.values()):
             raise ValueError(f"distribution parameters must be finite, got {params}")
@@ -80,6 +86,7 @@ class AnalysisConfig:
             raise ValueError("at least one family required")
         if not self.methods:
             raise ValueError("at least one evidence method required")
+        _check_seed(self.seed)
         if self.imaginary_source not in IMAGINARY_SOURCES:
             raise ValueError(f"unknown imaginary-data source {self.imaginary_source!r}; "
                              f"choose from {list(IMAGINARY_SOURCES)}")
@@ -225,6 +232,7 @@ class SweepSpec:
             raise ValueError("n must be at least 3")
         if self.prior_kind not in PRIOR_KINDS:
             raise ValueError(f"prior_kind must be 'A' or 'B', got {self.prior_kind}")
+        _check_seed(self.seed)
 
 
 def _sweep_scenario(sweep: SweepSpec, point, seed: int) -> ScenarioSpec:

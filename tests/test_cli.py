@@ -422,6 +422,24 @@ class TestSweepCommand:
         assert json.loads((out / "manifest.json").read_text())["failures"] == []
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "data.csv", "--column", "v"],
+    ["scenario", "--dist", "normal", "--n", "50"],
+    ["sweep", "--axis", "gamma-skewness", "--points", "2", "--n", "30",
+     "--replications", "1"],
+], ids=lambda c: c[0])
+def test_negative_seed_refused_before_the_out_directory(tmp_path, capsys, command):
+    _write(tmp_path / "data.csv", "v\n" + "\n".join(str(v) for v in range(1, 31)) + "\n")
+    out = tmp_path / "out"
+    rc = main([a.replace("data.csv", str(tmp_path / "data.csv")) for a in command]
+              + ["--methods", "quadrature", "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError",
+                   "message": "seed must be a non-negative integer, got -1"}
+    assert not out.exists()
+
+
 class TestParserDefaults:
     def test_scenario_and_sweep_defaults_are_the_spec_fields(self):
         parser = cli.build_parser()

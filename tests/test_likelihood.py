@@ -269,6 +269,11 @@ class TestRunMh:
         with pytest.raises(ValueError, match="-inf"):
             run_mh(_FlatLikelihood(), TruncatedPrior(), MhConfig(), 1.0, 0.3, seed=0)
 
+    def test_nan_start_rejected(self):
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=10.0)
+        with pytest.raises(ValueError, match="kernel is nan"):
+            run_mh(_NanAboveOne(), prior, MhConfig(), 2.0, 1.0, seed=0)
+
     def test_fixed_step_acceptance_is_the_1d_optimum(self):
         # A Gaussian target sampled with a Gaussian proposal of s target sds
         # accepts (2 / pi) arctan(2 / s) of proposals: 0.4449 at s = 2.38.
@@ -277,6 +282,26 @@ class TestRunMh:
                        0.7, PROPOSAL_SCALE * 0.3, seed=5)
         assert abs(2.0 / math.pi * math.atan(2.0 / PROPOSAL_SCALE) - 0.4449) < 1e-4
         assert abs(chain.accept_rate - 0.445) < 0.015, chain.accept_rate
+
+    def test_u_zero_accepts_a_proposal_any_distance_below(self, monkeypatch):
+        # The kernel at x = 40 is 800 nats below the start's: exp(-800)
+        # underflows to 0, yet with u = 0 the MH probability exceeds u.
+        rng = _ScriptedRng([40.0], [0.0])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0)
+        assert prior.log_density(40.0) - prior.log_density(0.0) < -745.0
+        chain = run_mh(_FlatLikelihood(), prior, MhConfig(burn_in=0, draws=1000),
+                       0.0, 1.0, seed=0)
+        assert chain.draws[0] == 40.0
+        assert chain.log_kernel[0] == prior.log_density(40.0)
+
+    def test_nan_kernel_is_never_accepted(self):
+        prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=10.0)
+        chain = run_mh(_NanAboveOne(), prior, MhConfig(burn_in=0, draws=2000),
+                       0.0, 1.0, seed=3)
+        assert float(chain.draws.max()) <= 1.0
+        assert not np.isnan(chain.log_kernel).any()
+        assert 0.3 < chain.accept_rate < 0.9, chain.accept_rate
 
     def test_detailed_balance_total_variation(self):
         # Flat likelihood: the normalized kernel is the prior itself, so the
@@ -291,6 +316,30 @@ class TestRunMh:
         exact = exact / exact.sum()
         tv = 0.5 * float(np.abs(emp - exact).sum())
         assert tv < 0.05, tv
+
+
+class _NanAboveOne:
+    """Stub context whose log likelihood is a normal in lambda, and nan above 1."""
+
+    family = Family.BOXCOX
+
+    def loglik(self, lam=0.0):
+        return np.where(lam > 1.0, np.nan, -0.5 * np.square(lam))[()]
+
+
+class _ScriptedRng:
+    """A generator whose first normal deviates and uniforms are given; the
+    rest come from default_rng(0)."""
+
+    def __init__(self, normals, uniforms):
+        self._normals, self._uniforms = list(normals), list(uniforms)
+        self._rng = np.random.default_rng(0)
+
+    def normal(self, loc, scale):
+        return loc + self._normals.pop(0) if self._normals else self._rng.normal(loc, scale)
+
+    def random(self):
+        return self._uniforms.pop(0) if self._uniforms else self._rng.random()
 
 
 class _NoCalls:

@@ -40,6 +40,21 @@ class TestScenarioSpec:
             ScenarioSpec("normal", 50, **{param: value})
 
 
+_SPECS = {
+    "scenario": lambda seed: ScenarioSpec("normal", 50, seed=seed),
+    "analysis": lambda seed: AnalysisConfig(seed=seed),
+    "sweep": lambda seed: SweepSpec(axis="student_df", points=(2.0,), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, "7", None])
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+def test_seed_must_be_a_non_negative_integer(spec, seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        _SPECS[spec](seed)
+    assert _SPECS[spec](np.int64(5)).seed == 5
+
+
 class TestGenerate:
     def test_normal_moments(self):
         y = generate(ScenarioSpec("normal", 100000, seed=1))
