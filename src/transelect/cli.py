@@ -28,7 +28,8 @@ REPORT_FIELDS = ["family", "prior", "method", "log_marginal", "mc_se",
 
 
 def ingest_csv(path, column) -> np.ndarray:
-    """Read one numeric column; blank cells are dropped with a logged count."""
+    """Read one numeric column, named or given by a non-negative index; blank
+    cells are dropped with a logged count."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:  # drops an Excel BOM
         rows = list(csv.reader(fh))
@@ -38,6 +39,8 @@ def ingest_csv(path, column) -> np.ndarray:
     header = rows[0]
     try:
         idx = int(column)
+        if idx < 0:
+            raise ParseError(f"column index {column!r} is negative")
         start = 0
         # a non-numeric first row is a header even when the column is an index
         try:

@@ -78,7 +78,9 @@ def standardize(raw) -> np.ndarray:
 
     Non-finite values are rejected, and so are data with fewer than 3 distinct
     values (such as binary data): every monotone transform of two values
-    standardizes to the same data, so lambda is not identified.
+    standardizes to the same data, so lambda is not identified. The data are
+    first divided by the power of two 2^e just above their largest |value|:
+    that is exact, and keeps the squares from overflowing or underflowing.
     """
     x = np.asarray(raw, dtype=float)
     if not np.isfinite(x).all():
@@ -86,6 +88,7 @@ def standardize(raw) -> np.ndarray:
     distinct = np.unique(x).size
     if distinct < 3:
         raise DegenerateData(f"need at least 3 distinct values, got {distinct}")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     sd = x.std(ddof=1)
     if sd <= 0.0 or not np.isfinite(sd):
         raise DegenerateData("sample standard deviation is zero")

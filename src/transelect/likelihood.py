@@ -306,18 +306,18 @@ def _cubic(c, t: float) -> float:
     return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
 
 
-def _cells(coef, err, split: bool):
+def _cells(coef, err):
     """(cells, bounded) from `_fit`. cells[i] is cell i's coefficients where
     its cubic meets TABLE_TOL, else None. bounded maps each finite cell that
-    misses it to [coefficients, rejection bound B, split factor r], with r
-    None where the cell may not split."""
+    misses it to [coefficients, bound B, split factor r or, once split, the
+    sub-cells' cells], with r None where it would exceed MAX_SPLIT."""
     cells, bounded = [], {}
     for i, (c, e) in enumerate(zip(coef.tolist(), err.tolist())):
         cells.append(c if e <= TABLE_TOL else None)
         if TABLE_TOL < e < math.inf:
             r = 2 ** math.ceil(math.log2(1.25 * (e / TABLE_TOL) ** 0.25))
             bounded[i] = [c, REJECT_ERROR_FACTOR * e + REJECT_SLACK,
-                          r if split and r <= MAX_SPLIT else None]
+                          r if r <= MAX_SPLIT else None]
     return cells, bounded
 
 
@@ -329,12 +329,12 @@ class KernelTable:
     plus the cell's bound B is below `bar`: MH accepts a proposal exactly
     when its kernel is above the bar k + log u, so it rejects this one
     whatever its exact value. A cell that can do neither is split on first
-    use into r sub-cells, which one more array call fits and bounds the same
-    way, and x is read from its sub-cell. The exact kernel scores the rest:
-    a cell or sub-cell that misses TABLE_TOL where it cannot reject, a cell
-    whose r exceeds MAX_SPLIT or that touches a non-finite value, and every
-    x outside the table. So every value the table returns at or above the
-    bar is exact or TABLE_TOL-checked. `exact_steps` counts the exact calls.
+    use into r sub-cells, which one more array call fits and checks, and x
+    is read from its sub-cell's cubic where that meets TABLE_TOL. The exact
+    kernel scores the rest: a sub-cell that misses TABLE_TOL, a cell whose r
+    exceeds MAX_SPLIT or that touches a non-finite value, and every x
+    outside the table. So every value the table returns at or above the bar
+    is exact or TABLE_TOL-checked. `exact_steps` counts the exact calls.
     """
 
     def __init__(self, kernel, start: float, step_sd: float):
@@ -344,7 +344,7 @@ class KernelTable:
         self.lo = start - half * self.h
         self.size = 2 * half
         coef, err = _fit(kernel, self.lo, self.h, self.size)
-        self.cells, self.bounded = _cells(coef, err, split=True)
+        self.cells, self.bounded = _cells(coef, err)
         kept = err <= TABLE_TOL
         # of the grid's own cells: splits do not change them
         self.exact_share = 1.0 - float(kept.mean())
@@ -358,16 +358,16 @@ class KernelTable:
             c, t = self.cells[i], u - i
             if c is not None:  # `_cubic`, inlined: most steps end here
                 return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
-            v = self._bounded(self.bounded, i, t, bar)
+            v = self._bounded(i, t, bar)
             if v is not None:
                 return v
         self.exact_steps += 1
         return self.kernel(x)
 
-    def _bounded(self, bounded: dict, i: int, t: float, bar: float):
-        """The value at t in failing cell i of `bounded`, or None where the
-        exact kernel must score it."""
-        b = bounded.get(i)
+    def _bounded(self, i: int, t: float, bar: float):
+        """At t in failing grid cell i: the cubic where it rejects, else t's
+        sub-cell's where that meets TABLE_TOL, else None (the exact kernel)."""
+        b = self.bounded.get(i)
         if b is None:
             return None
         c, bound, split = b
@@ -376,14 +376,12 @@ class KernelTable:
             return v
         if type(split) is int:
             split = b[2] = _cells(*_fit(self.kernel, self.lo + self.h * i,
-                                        self.h / split, split), split=False)
+                                        self.h / split, split))[0]
         if split is None:
             return None
-        cells, sub = split
-        t *= len(cells)  # exact: the number of sub-cells is a power of two
+        t *= len(split)  # exact: the number of sub-cells is a power of two
         j = int(t)
-        t -= j
-        return _cubic(cells[j], t) if cells[j] is not None else self._bounded(sub, j, t, bar)
+        return None if split[j] is None else _cubic(split[j], t - j)
 
 
 def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,

@@ -57,6 +57,16 @@ class TestIngestCsv:
         with pytest.raises(ParseError):
             ingest_csv(p, "y")
 
+    def test_negative_column_index_refused(self, tmp_path, caplog):
+        # int("-1") parses, and row[-1] would read each row's last cell,
+        # column a of the short row included
+        p = _write(tmp_path / "d.csv", "a,b\n1,2\n3,4\n5\n7,8\n9,10\n")
+        with caplog.at_level("WARNING"):
+            np.testing.assert_array_equal(ingest_csv(p, "1"), [2.0, 4.0, 8.0, 10.0])
+        assert "dropped 1 rows" in caplog.text
+        with pytest.raises(ParseError, match="column index '-1' is negative"):
+            ingest_csv(p, "-1")
+
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 byte order mark
         p = tmp_path / "d.csv"
@@ -332,6 +342,34 @@ class TestAnalyzeCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert "error" in err and "message" in err
 
+    def test_negative_column_index_is_machine_readable_error(self, tmp_path, capsys):
+        data = _write(tmp_path / "d.csv", "a,b\n1,2\n3,4\n5\n7,8\n9,10\n")
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", data, "--column", "-1", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ParseError", "message": "column index '-1' is negative"}
+        assert not out.exists()
+
+    def test_empty_file_is_machine_readable_error(self, tmp_path, capsys):
+        data = _write(tmp_path / "empty.csv", "")
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", data, "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "EmptyColumn", "message": f"{data} is empty"}
+        assert not out.exists()
+
+    def test_unknown_family_is_machine_readable_error(self, tmp_path, capsys):
+        data = _write(tmp_path / "d.csv", "y\n1\n2\n4\n")
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", data, "--column", "y", "--families", "id,bogus",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "unknown family: bogus"}
+        assert not out.exists()
+
     def test_degenerate_data_error_path(self, tmp_path, capsys):
         data = _write(tmp_path / "d.csv", "y\n1\n1\n1\n")
         rc = main(["analyze", "--input", data, "--column", "y",
@@ -366,6 +404,18 @@ class TestSweepCommand:
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert len(rows) == 2
         assert {r["family"] for r in rows} == {"id", "log"}
+
+    def test_dump_chains_is_logged_and_the_sweep_still_runs(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            rc = main(["sweep", "--axis", "gamma-skewness", "--points", "2.0",
+                       "--n", "60", "--replications", "1", "--prior", "a",
+                       "--families", "id,log", "--methods", "quadrature",
+                       "--dump-chains", "--out", str(out)])
+        assert rc == 0
+        assert "sweep writes no chain files" in caplog.text
+        assert len(list(csv.DictReader((out / "sweep.csv").open()))) == 2
+        assert not (out / "chains").exists()
 
     def test_sweep_runs_both_priors_by_default(self, tmp_path):
         out = tmp_path / "out"

@@ -67,6 +67,10 @@ class TestComputeShift:
         with pytest.raises(DegenerateData):
             compute_shift([-2.0, -2.0, -2.0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(DegenerateData, match="empty vector"):
+            compute_shift([])
+
     def test_shifted_strictly_positive(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

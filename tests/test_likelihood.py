@@ -10,9 +10,9 @@ from transelect import likelihood
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.evidence import evidence_quadrature
-from transelect.likelihood import (PROPOSAL_SCALE, TABLE_TOL, KernelTable,
-                                   LikelihoodContext, MhConfig, log_sampling_kernel,
-                                   run_mh)
+from transelect.likelihood import (PROPOSAL_SCALE, TABLE_CELLS_PER_STEP, TABLE_TOL,
+                                   KernelTable, LikelihoodContext, MhConfig, _fit,
+                                   log_sampling_kernel, run_mh)
 from transelect.priors import (UnitInfoPrior, build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
 from transelect.quadrature import REAL_LIMIT
@@ -57,6 +57,12 @@ class TestMarginalizedLikelihood:
         with pytest.raises(DegenerateTransform):
             ctx = LikelihoodContext(Family.ID, make_data([0.0, 0.0, 0.0]))
             ctx.loglik()
+
+    @pytest.mark.parametrize("family", [Family.ID, Family.LOG], ids=lambda f: f.value)
+    def test_no_transform_derivatives_without_a_parameter(self, family):
+        ctx = LikelihoodContext(family, _normal_data())
+        with pytest.raises(ValueError, match="has no transformation parameter"):
+            ctx.transform_derivatives(1.0)
 
     def test_matches_two_d_brute_force(self):
         data = prepare(np.random.default_rng(12).normal(size=8))
@@ -405,17 +411,31 @@ def _cubic(c, t):
 
 def _split_all(table):
     """Split every cell of `table` that may split, through calls at the
-    cells' midpoints that cannot reject; (left end, width, sub-cells, their
-    bounded dict) per split cell."""
+    cells' midpoints that cannot reject; (left end, width, sub-cells) per
+    split cell."""
     out = []
     for i, b in sorted(table.bounded.items()):
         if b[2] is None:
             continue
         left = table.lo + table.h * i
         table(left + 0.5 * table.h)
-        cells, sub = b[2]
-        out.append((left, table.h / len(cells), cells, sub))
+        out.append((left, table.h / len(b[2]), b[2]))
     return out
+
+
+def _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel):
+    """Each sub-cell of every split is a cubic within TABLE_TOL of the kernel
+    at its midpoint, or misses TABLE_TOL and is scored by one exact call."""
+    for left, h, cells in _split_all(table):
+        for j, c in enumerate(cells):
+            x = left + h * (j + 0.5)
+            if c is not None:
+                assert abs(_cubic(c, 0.5) - kernel(x)) <= TABLE_TOL
+            else:
+                steps = table.exact_steps
+                assert table(x, -math.inf) == kernel(x)
+                assert table.exact_steps == steps + 1
+                assert _fit(kernel, left, h, len(cells))[1][j] > TABLE_TOL
 
 
 class TestKernelTable:
@@ -454,7 +474,7 @@ class TestKernelTable:
             # and so do the sub-cells that splits keep, which leave the
             # grid's own figures as they were
             share, max_error = table.exact_share, table.max_error
-            for left, h, cells, _ in _split_all(table):
+            for left, h, cells in _split_all(table):
                 kept = np.flatnonzero([c is not None for c in cells])
                 mids = left + h * (kept + 0.5)
                 err = np.abs([table(x) for x in mids] - kernel(mids))
@@ -507,16 +527,27 @@ class TestKernelTable:
             if i is not None:  # one array call per split
                 del kernel.calls[:]
                 table(table.lo + table.h * (i + 0.5))
-                r = len(table.bounded[i][2][0])
+                r = len(table.bounded[i][2])
                 assert kernel.calls[0] == 2 * r + 3 and max(kernel.calls[1:], default=0) == 0
-            for left, h, cells, sub in _split_all(table):
-                for j, c in enumerate(cells):
-                    x = left + h * (j + 0.5)
-                    if c is not None:
-                        assert abs(_cubic(c, 0.5) - kernel.kernel(x)) <= TABLE_TOL, family
-                    else:
-                        assert table(x, -math.inf) == kernel.kernel(x), family
-                        assert j in sub or not np.isfinite(kernel.kernel(x)), family
+            _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel.kernel)
+
+    def test_a_sub_cell_that_misses_the_tolerance_is_scored_exactly(self):
+        # A standard normal kernel whose third derivative jumps by 18 at x0,
+        # a fifth of the way into a grid cell of a table of step 1: that cell
+        # splits into four, and the cubic of the sub-cell that holds x0 still
+        # misses TABLE_TOL, since the kernel is not smooth at that scale.
+        x0 = 7.2 / TABLE_CELLS_PER_STEP
+        kernel = _Counted(lambda x: -0.5 * np.square(x) + 3.0 * np.maximum(0.0, x - x0) ** 3)
+        table = KernelTable(kernel, 0.0, 1.0)
+        i = int((x0 - table.lo) / table.h)
+        assert table.bounded[i][2] == 4
+        assert table(x0, -math.inf) == kernel.kernel(x0)
+        cells = table.bounded[i][2]
+        j = int((x0 - table.lo - table.h * i) / (table.h / 4))
+        assert cells[j] is None and sum(c is None for c in cells) == 1
+        assert table.exact_steps == 1 and kernel.calls[-1] == 0
+        _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel.kernel)
+        assert table.exact_steps == 2
 
     def test_dual_power_prior_scores_some_cells_exactly(self):
         family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]

@@ -39,6 +39,14 @@ class TestMakeImaginary:
         with pytest.raises(ValueError):
             make_imaginary(n_star=5)
 
+    def test_unknown_source_rejected(self):
+        with pytest.raises(ValueError, match="unknown imaginary-data source 'bogus'"):
+            make_imaginary(source="bogus")
+
+    def test_empirical_source_requires_the_observed_data(self):
+        with pytest.raises(ValueError, match="requires the observed data"):
+            make_imaginary(source="empirical")
+
     def test_discount_is_inverse_size(self):
         img = make_imaginary(n_star=200, seed=0)
         assert img.alpha0 == 1.0 / 200
@@ -166,6 +174,11 @@ class TestFisherScale:
                       for ns in (50, 100, 1000)]
             assert max(scales) / min(scales) < 3.0, family
 
+    def test_dual_without_anchor_estimates_it(self):
+        img = make_imaginary(n_star=100, seed=5)
+        assert fisher_scale(Family.DUAL, img) == fisher_scale(
+            Family.DUAL, img, anchor=estimate_dual_anchor(img))
+
     def test_nonpositive_curvature_raises(self):
         # A Dual anchor far below the likelihood mode sits in a convex region
         # of the discounted log likelihood, so no usable curvature exists.
@@ -222,6 +235,11 @@ class TestBuildUnitInfoPrior:
         dual = build_unit_info_prior(Family.DUAL, img, anchor=anchor)
         assert dual.family.on_log_scale
         assert abs(dual.location - math.log(anchor.value)) < 1e-12
+
+    def test_dual_without_anchor_estimates_it(self):
+        img = make_imaginary(n_star=100, seed=5)
+        assert build_unit_info_prior(Family.DUAL, img) == build_unit_info_prior(
+            Family.DUAL, img, anchor=estimate_dual_anchor(img))
 
     def test_shared_imaginary_across_families(self):
         img = make_imaginary(n_star=100, seed=6)

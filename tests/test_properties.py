@@ -59,6 +59,13 @@ def test_affine_invariance(y, a, b):
     _assert_same_selection(y, a * y + b)
 
 
+@pytest.mark.parametrize("a", [1e-300, 1e-160, 1e160, 1e300])
+def test_invariance_to_scales_whose_squares_overflow_or_underflow(a):
+    # 1e160 squared overflows and 1e-160 squared is subnormal
+    y = generate(ScenarioSpec("gamma", 50, seed=5, **SCENARIOS["gamma"]))
+    _assert_same_selection(y, a * y)
+
+
 @PROPERTY
 @given(y=datasets(), data=st.data())
 def test_permutation_invariance(y, data):

@@ -30,6 +30,12 @@ class TestLogIntegral:
         with pytest.raises(IntegrationFailure):
             sampling_integral(lambda x: 0.0 * x, False)
 
+    def test_window_that_keeps_growing_raises(self):
+        # a flat integrand on a window of width 1e-60: 200 expansions by half
+        # its width reach only about 1.6, far inside the limits
+        with pytest.raises(IntegrationFailure, match="window expansion did not converge"):
+            sampling_integral(lambda x: np.zeros_like(x), False, (0.0, 1e-60))
+
     def test_lower_boundary_mass_allowed_when_marked(self):
         # exp(-lambda) integrated on x = log(lambda) without the Jacobian: the
         # integrand tends to 1 as lambda -> 0, so mass sits at the lower limit.
