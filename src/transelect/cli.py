@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyColumn, ParseError, TranselectError
-from .families import ALL_FAMILIES, Family
+from .families import ALL_FAMILIES
 from .likelihood import MhConfig
 from .priors import IMAGINARY_SOURCES
 from .simulate import (ALL_METHODS, SCENARIO_PARAMS, AnalysisConfig, ScenarioSpec,
@@ -75,25 +75,14 @@ def ingest_csv(path, column) -> np.ndarray:
     return np.asarray(values)
 
 
-def _parse_families(text: str) -> tuple[Family, ...]:
-    wanted = [t.strip().lower() for t in text.split(",") if t.strip()]
-    aliases = {"yj": "yeojohnson", "bc": "boxcox", "mod": "modulus"}
-    fams = []
-    for w in wanted:
-        w = aliases.get(w, w)
-        try:
-            fams.append(Family(w))
-        except ValueError:
-            raise ValueError(f"unknown family: {w}") from None
-    return tuple(fams)
-
-
 def _analysis_config(args) -> AnalysisConfig:
     mh = MhConfig(burn_in=args.burn_in, draws=args.draws)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    aliases = {"yj": "yeojohnson", "bc": "boxcox", "mod": "modulus"}
+    names = [f.strip().lower() for f in args.families.split(",") if f.strip()]
     return AnalysisConfig(mh=mh, chib_draws=args.chib_j, n_star=args.nstar,
                           imaginary_source=args.imaginary, methods=methods,
-                          families=_parse_families(args.families),
+                          families=tuple(aliases.get(f, f) for f in names),
                           seed=args.seed)
 
 
@@ -110,9 +99,9 @@ def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
 
 def _run_analysis(y: np.ndarray, args) -> None:
     cfg = _analysis_config(args)
+    reports = [analyze_dataset(y, p, cfg) for p in _priors_for(args.prior)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = [analyze_dataset(y, p, cfg) for p in _priors_for(args.prior)]
     if args.dump_chains:
         chained = [r for report in reports for r in report.results if r.chain is not None]
         if not chained:
@@ -173,9 +162,7 @@ def _cmd_sweep(args) -> None:
                         prior_kind=prior_kind, replications=args.replications,
                         seed=args.seed)
               for prior_kind in _priors_for(args.prior)]
-    cfg.n_star_for(args.n)  # refuse a sweep that no replication can finish
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.dump_chains:
         log.warning("--dump-chains: sweep writes no chain files")
 
@@ -185,6 +172,7 @@ def _cmd_sweep(args) -> None:
 
     def flush(point_rows):
         done.extend(point_rows)
+        out.mkdir(parents=True, exist_ok=True)
         _write_csv(path, SWEEP_FIELDS, done)  # rewrite so interrupts keep finished points
 
     for sweep in sweeps:

@@ -71,6 +71,13 @@ def generate(spec: ScenarioSpec) -> np.ndarray:
     return (z + spec.ncp) / np.sqrt(v / spec.df)
 
 
+def _family(entry) -> Family:
+    try:
+        return Family(entry)
+    except ValueError:
+        raise ValueError(f"unknown family: {entry}") from None
+
+
 @dataclass
 class AnalysisConfig:
     mh: MhConfig = field(default_factory=MhConfig)
@@ -78,10 +85,11 @@ class AnalysisConfig:
     n_star: int | None = None              # None: match the observed sample size
     imaginary_source: str = "simulated"
     methods: tuple[str, ...] = ALL_METHODS
-    families: tuple[Family, ...] = ALL_FAMILIES
+    families: tuple[Family, ...] = ALL_FAMILIES  # members or their names
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.families = tuple(_family(f) for f in self.families)
         if not self.families:
             raise ValueError("at least one family required")
         if not self.methods:
@@ -111,8 +119,10 @@ class AnalysisConfig:
 
     @property
     def needs_chain(self) -> bool:
-        """Whether an estimator needs the MH chain; quadrature alone does not."""
-        return CHIB in self.methods or LAPLACE_METROPOLIS in self.methods
+        """Whether an MH chain runs: an estimator needs it (quadrature alone
+        does not) and some family has a lambda to sample."""
+        return ((CHIB in self.methods or LAPLACE_METROPOLIS in self.methods)
+                and any(f.has_lambda for f in self.families))
 
     def n_star_for(self, n: int) -> int:
         """The imaginary-data size for n observations: n_star if set, else n.

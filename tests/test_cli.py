@@ -7,7 +7,7 @@ import pytest
 
 from transelect import cli, simulate
 from transelect.cli import ingest_csv, main
-from transelect.errors import EmptyColumn, ParseError
+from transelect.errors import DegenerateData, EmptyColumn, ParseError
 from transelect.simulate import ScenarioSpec, SweepSpec, analyze_dataset
 
 FAST = ["--burn-in", "300", "--draws", "1000", "--chib-j", "500"]
@@ -130,6 +130,32 @@ class TestScenarioCommand:
         del r1["timestamp"], r2["timestamp"]
         assert r1 == r2
         assert (out1 / "report.csv").read_text() == (out2 / "report.csv").read_text()
+
+    def test_family_aliases_are_the_family_names(self, tmp_path):
+        args = ["scenario", "--dist", "gamma", "--n", "50", "--seed", "3",
+                "--prior", "a", "--methods", "quadrature"]
+        short, full = tmp_path / "short", tmp_path / "full"
+        assert main(args + ["--families", "yj,bc,mod", "--out", str(short)]) == 0
+        assert main(args + ["--families", "yeojohnson,boxcox,modulus",
+                            "--out", str(full)]) == 0
+        r1, r2 = (json.loads((d / "report.json").read_text()) for d in (short, full))
+        del r1["timestamp"], r2["timestamp"]
+        assert r1 == r2
+        assert [f["family"] for f in r1["reports"][0]["families"]] == [
+            "boxcox", "modulus", "yeojohnson"]
+        manifest = json.loads((short / "manifest.json").read_text())
+        assert manifest["config"]["families"] == "yj,bc,mod"
+
+    def test_mh_is_skipped_without_a_family_to_sample(self, tmp_path, monkeypatch):
+        def no_mh(*args, **kwargs):
+            raise AssertionError("run_mh called with no family that has a lambda")
+
+        monkeypatch.setattr(simulate, "run_mh", no_mh)
+        out = tmp_path / "out"
+        rc = main(["scenario", "--dist", "normal", "--n", "40", "--prior", "both",
+                   "--families", "id,log", "--methods", "chib", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["mh_skipped"] is True
 
     def test_dump_chains(self, tmp_path, monkeypatch):
         chains = {}
@@ -379,6 +405,20 @@ class TestAnalyzeCommand:
         assert err["error"] == "DegenerateData"
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "ties.csv", "--column", "y"],
+    ["scenario", "--dist", "normal", "--n", "5"],
+], ids=lambda c: c[0])
+def test_failed_analysis_leaves_no_out_directory(tmp_path, capsys, command):
+    _write(tmp_path / "ties.csv", "y\n1\n1\n1\n")
+    out = tmp_path / "out"
+    rc = main([a.replace("ties.csv", str(tmp_path / "ties.csv")) for a in command]
+              + ["--methods", "quadrature", "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "DegenerateData"
+    assert not out.exists()
+
+
 class TestSweepCommand:
     def test_student_sweep_shape_and_validity(self, tmp_path):
         out = tmp_path / "out"
@@ -462,6 +502,25 @@ class TestSweepCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DegenerateData" and "--nstar" in err["message"]
         assert not out.exists()
+
+    def test_the_sweep_leaves_the_n_star_rule_to_run_sweep(self, tmp_path, capsys,
+                                                           monkeypatch):
+        checked = []
+
+        def refuse(sweep, cfg, on_point=None, on_failure=None):
+            raise DegenerateData("refused by run_sweep")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(simulate.AnalysisConfig, "n_star_for",
+                            lambda cfg, n: checked.append(n) or n)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--axis", "student-df", "--points", "3", "--n", "60",
+                   "--replications", "1", "--methods", "quadrature", "--prior", "a",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "DegenerateData", "message": "refused by run_sweep"}
+        assert checked == [] and not out.exists()
 
     def test_sweep_with_small_n_runs_given_n_star(self, tmp_path):
         out = tmp_path / "out"

@@ -132,6 +132,31 @@ class TestAnalysisConfig:
             AnalysisConfig(n_star=9)
         assert AnalysisConfig(n_star=10).n_star == 10
 
+    def test_family_names_are_the_members(self):
+        y = generate(ScenarioSpec("gamma", 100, seed=3))
+        named, members = (analyze_dataset(y, "A", AnalysisConfig(
+            families=families, methods=("quadrature",))).to_dict()
+            for families in ((Family.ID, "boxcox", "dual"),
+                             (Family.ID, Family.BOXCOX, Family.DUAL)))
+        assert named == members
+        assert [f["family"] for f in named["families"]] == ["id", "boxcox", "dual"]
+
+    @pytest.mark.parametrize("entry", ["bogus", "BoxCox", "bc", 3, None])
+    def test_unknown_family_rejected_at_construction(self, entry):
+        with pytest.raises(ValueError) as err:
+            AnalysisConfig(families=(Family.ID, entry))
+        assert str(err.value) == f"unknown family: {entry}"
+
+    @pytest.mark.parametrize("methods, families, needs", [
+        (("chib",), ("id", "log"), False),
+        (("laplace_metropolis", "quadrature"), ("log",), False),
+        (("quadrature",), ("boxcox",), False),
+        (("chib",), ("id", "dual"), True),
+        (("laplace_metropolis",), ("modulus",), True),
+    ])
+    def test_a_chain_runs_only_for_a_family_with_a_lambda(self, methods, families, needs):
+        assert AnalysisConfig(methods=methods, families=families).needs_chain is needs
+
     def test_n_star_for_n_observations(self):
         assert AnalysisConfig().n_star_for(10) == 10
         assert AnalysisConfig(n_star=40).n_star_for(5) == 40
