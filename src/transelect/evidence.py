@@ -124,7 +124,7 @@ def evidence_quadrature(ctx: LikelihoodContext, prior) -> EvidenceEstimate:
     lam = family.to_lambda(grid.xs)
     i = int(np.argmax(grid.log_vals))
     best = float(grid.xs[i])
-    mode = refine_mode(kernel, best, kernel(best),
+    mode = refine_mode(kernel, best, float(grid.log_vals[i]),
                        (float(grid.xs[max(i - 1, 0)]),
                         float(grid.xs[min(i + 1, grid.xs.size - 1)])))
     return EvidenceEstimate(

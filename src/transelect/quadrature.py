@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import IntegrationFailure
 
@@ -51,7 +50,24 @@ def _log_weights(size: int, step: float) -> np.ndarray:
 
 
 def _log_trapz(log_vals: np.ndarray, step: float) -> float:
-    return float(logsumexp(log_vals + _log_weights(log_vals.size, step)))
+    """log of the trapezoid sum of exp(log_vals) on a grid of the given step.
+
+    It takes scipy.special.logsumexp's steps in scipy's order (Blanchard,
+    Higham & Higham 2021), so it returns the same float: the m maxima are
+    zeroed in e = exp(a - max), which keeps its length and so numpy's summation
+    order, and come back as log1p(sum(e) / m) + log(m). Without a finite
+    maximum the sum is taken directly.
+    """
+    a = log_vals + _log_weights(log_vals.size, step)
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    is_max = a == a_max
+    e = np.exp(a - a_max)
+    e[is_max] = 0.0
+    m = np.count_nonzero(is_max)
+    return float(np.log1p(e.sum() / m) + np.log(m) + a_max)
 
 
 def _eval(log_f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
@@ -82,6 +98,9 @@ def sampling_integral(log_f: Callable[[np.ndarray], np.ndarray], on_log: bool,
         vals = _eval(log_f, xs)
         step = xs[1] - xs[0]
         total = _log_trapz(vals, step)
+        if not math.isfinite(total):
+            raise IntegrationFailure(
+                f"log integral {total} on the probe window {(lo, hi)} is not finite")
         lo_heavy = vals[0] + math.log(step) - total > log_tail
         hi_heavy = vals[-1] + math.log(step) - total > log_tail
         width = hi - lo

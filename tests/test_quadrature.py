@@ -1,12 +1,17 @@
+import functools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy.special import exp1, logsumexp
 
+from transelect import evidence, priors
 from transelect.errors import IntegrationFailure
 from transelect.quadrature import (LOG_LIMIT, LOG_WINDOW, REAL_LIMIT, REAL_WINDOW,
-                                   sampling_integral)
+                                   _log_trapz, _log_weights, sampling_integral)
+from transelect.simulate import AnalysisConfig, ScenarioSpec, run_scenario
 
 
 def _log_normal_pdf(mu, sd):
@@ -104,3 +109,75 @@ class TestLogIntegral:
         assert sum(c.size for c in calls) == 129 * (e + 1) + 128 * (2 ** (h + 1) - 1)
         # the last probe grid and the midpoints of each halving are the final grid
         np.testing.assert_array_equal(np.sort(np.concatenate(calls[e:])), res.xs)
+
+    @pytest.mark.parametrize("log_f", [
+        lambda x: np.full_like(x, -np.inf),
+        # finite only within 1e-6 of 0.01, between two 129-point probe points
+        lambda x: np.where(np.abs(x - 0.01) < 1e-6, 0.0, -np.inf),
+    ], ids=["all_minus_inf", "missed_spike"])
+    def test_probe_without_a_finite_integral_raises(self, log_f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationFailure,
+                               match=r"on the probe window \(-5\.0, 7\.0\) is not finite"):
+                sampling_integral(log_f, False)
+
+
+def _assert_logsumexp_float(log_vals, step):
+    """_log_trapz gives scipy's logsumexp float exactly, NaN for NaN."""
+    got = _log_trapz(log_vals, step)
+    want = float(logsumexp(log_vals + _log_weights(log_vals.size, step)))
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _acceptance_grids(dist, prior_kind):
+    """Every LogIntegral of a quadrature-only analysis of the acceptance
+    dataset at n = 100, seed 1000: the power-prior normalisers under prior A
+    and the evidence grids, for the four parametric families."""
+    grids = []
+
+    def record(*args, **kwargs):
+        grids.append(sampling_integral(*args, **kwargs))
+        return grids[-1]
+
+    params = {"gamma": {"shape": 2.0, "rate": 3.0}, "student": {"df": 2.0, "ncp": -1.0}}
+    with mock.patch.object(evidence, "sampling_integral", record), \
+            mock.patch.object(priors, "sampling_integral", record):
+        run_scenario(ScenarioSpec(dist, 100, seed=1000, **params[dist]), prior_kind,
+                     AnalysisConfig(seed=1000, methods=("quadrature",)))
+    return grids
+
+
+class TestLogTrapzIsLogsumexp:
+    """The numpy log-trapezoid returns the installed scipy's logsumexp float."""
+
+    @pytest.mark.parametrize("dist", ["gamma", "student"])
+    @pytest.mark.parametrize("prior_kind", ["A", "B"])
+    def test_final_grids_of_the_acceptance_datasets(self, dist, prior_kind):
+        grids = _acceptance_grids(dist, prior_kind)
+        assert len(grids) == (8 if prior_kind == "A" else 4)
+        for g in grids:
+            _assert_logsumexp_float(g.log_vals, g.xs[1] - g.xs[0])
+
+    def test_random_arrays_with_minus_inf_entries(self):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            n = int(rng.integers(2, 3000))
+            v = rng.normal(size=n) * rng.uniform(0.0, 300.0)
+            v[rng.random(n) < rng.uniform(0.0, 0.9)] = -np.inf
+            _assert_logsumexp_float(v, float(rng.uniform(1e-4, 1.0)))
+
+    @pytest.mark.parametrize("ties", [2, 3])
+    def test_tied_maxima(self, ties):
+        rng = np.random.default_rng(ties)
+        for _ in range(100):
+            n = int(rng.integers(ties + 2, 2000))
+            v = np.round(rng.normal(size=n) * 20.0)
+            v[1 + rng.choice(n - 2, size=ties, replace=False)] = v.max() + 1.0
+            _assert_logsumexp_float(v, float(rng.uniform(1e-4, 1.0)))
+
+    @pytest.mark.parametrize("v", [[-np.inf] * 129, [0.0, np.inf, 1.0], [0.0, np.nan, 1.0]],
+                             ids=["all_minus_inf", "plus_inf", "nan"])
+    def test_no_finite_maximum(self, v):
+        _assert_logsumexp_float(np.array(v), 0.5)
