@@ -384,22 +384,29 @@ class KernelTable:
         return None if split[j] is None else _cubic(split[j], t - j)
 
 
+# Steps per block of run_mh's random draws: two scalar generator calls per
+# step cost about half of a table step, and a fixed block keeps memory flat
+# in the chain's length.
+MH_BLOCK = 4096
+
+
 def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
            seed: int) -> PosteriorChain:
     """Gaussian random-walk Metropolis-Hastings for the transformation parameter,
     on the family's sampling scale (log lambda for a family on the log scale,
     so proposals stay positive). The chain starts at `start`, the posterior
     mode that it reports as `mode`, and proposes with the fixed sd `step_sd`;
-    the first cfg.burn_in draws are discarded; `seed` seeds the proposals and
-    the acceptance draws. The start is scored exactly and every proposal
-    through a KernelTable. A proposal is accepted exactly when its kernel is
-    above the bar k + log u (-inf where u = 0); nan never is. The table may
-    answer a proposal it can show is below the bar with a bounded cubic, so
-    every accepted value is exact or within TABLE_TOL of the exact kernel at
-    its cell's check point. Raises ValueError for a non-finite `start`, for a
-    `step_sd` that is not positive and finite, and where the kernel at
-    `start` is -inf or nan; MixingFailure when the post-burn-in acceptance
-    is outside [0.05, 0.95].
+    the first cfg.burn_in draws are discarded. default_rng(seed) gives the
+    steps in blocks of MH_BLOCK (the last one shorter): for each block of m
+    steps, m proposal steps normal(0, step_sd) and then m uniforms u. The
+    start is scored exactly and every proposal through a KernelTable. A
+    proposal is accepted exactly when its kernel is above the bar k + log u
+    (-inf where u = 0); nan never is. The table may answer a proposal it can
+    show is below the bar with a bounded cubic, so every accepted value is
+    exact or within TABLE_TOL of the exact kernel at its cell's check point.
+    Raises ValueError for a non-finite `start`, for a `step_sd` that is not
+    positive and finite, and where the kernel at `start` is -inf or nan;
+    MixingFailure when the post-burn-in acceptance is outside [0.05, 0.95].
     """
     family = ctx.family
     if not math.isfinite(start):
@@ -416,18 +423,20 @@ def run_mh(ctx, prior, cfg: MhConfig, start: float, step_sd: float,
     rng = np.random.default_rng(seed)
     draws, kernels = np.empty(cfg.draws), np.empty(cfg.draws)
     accepted = 0
-    # bound once: attribute lookups are a tenth of a table step
-    normal, random, log = rng.normal, rng.random, math.log
-    for t in range(-cfg.burn_in, cfg.draws):
-        prop = x + normal(0.0, step_sd)
-        u = random()
-        bar = k + log(u) if u > 0.0 else -math.inf
-        kp = table(prop, bar)
-        if kp > bar:  # False for nan
-            x, k = prop, kp
-            accepted += t >= 0
-        if t >= 0:
-            draws[t], kernels[t] = x, k
+    for first in range(-cfg.burn_in, cfg.draws, MH_BLOCK):
+        m = min(MH_BLOCK, cfg.draws - first)
+        steps = rng.normal(0.0, step_sd, m).tolist()
+        with np.errstate(divide="ignore"):  # u = 0 gives the bar -inf
+            log_u = np.log(rng.random(m)).tolist()
+        for t, dx, lu in zip(range(first, first + m), steps, log_u):
+            prop = x + dx
+            bar = k + lu
+            kp = table(prop, bar)
+            if kp > bar:  # False for nan
+                x, k = prop, kp
+                accepted += t >= 0
+            if t >= 0:
+                draws[t], kernels[t] = x, k
 
     accept_rate = accepted / cfg.draws
     if accept_rate < 0.05 or accept_rate > 0.95:

@@ -87,7 +87,8 @@ def sampling_integral(log_f: Callable[[np.ndarray], np.ndarray], on_log: bool,
     mass; on log lambda the lower limit is the lambda -> 0 boundary, where
     the integrand may stay finite without the integral being truncated.
     Finally the last probe grid is refined by halving its step until the
-    log value stabilizes.
+    log value moves by less than ABS_TOL; IntegrationFailure if it still
+    moves after MAX_HALVINGS halvings.
     """
     lim_lo, lim_hi = LOG_LIMIT if on_log else REAL_LIMIT
     lo, hi = window if window is not None else (LOG_WINDOW if on_log else REAL_WINDOW)
@@ -126,8 +127,9 @@ def sampling_integral(log_f: Callable[[np.ndarray], np.ndarray], on_log: bool,
         new_vals[0::2], new_vals[1::2] = vals, _eval(log_f, mid)
         xs, vals = new_xs, new_vals
         refined = _log_trapz(vals, xs[1] - xs[0])
-        done = halvings > 0 and abs(refined - total) < ABS_TOL
-        total = refined
-        if done:
-            break
-    return LogIntegral(total, xs, vals, expansions, halvings)
+        change, total = abs(refined - total), refined
+        if halvings > 0 and change < ABS_TOL:
+            return LogIntegral(total, xs, vals, expansions, halvings)
+    raise IntegrationFailure(
+        f"log integral on the window {(lo, hi)} did not settle in {MAX_HALVINGS} "
+        f"halvings: the last one moved it by {change}")

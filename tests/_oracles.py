@@ -12,7 +12,8 @@ from scipy.special import logsumexp
 
 from transelect.errors import NonPositiveInput
 from transelect.families import Family, PreparedData
-from transelect.likelihood import _BRANCH_TOL, LikelihoodContext, log_sampling_kernel
+from transelect.likelihood import (_BRANCH_TOL, MH_BLOCK, LikelihoodContext,
+                                   log_sampling_kernel)
 
 
 def make_data(values, xi=0.0, eps=0.0) -> PreparedData:
@@ -272,16 +273,23 @@ def dense_posterior_sd(ctx, prior, lo: float, hi: float,
 
 def exact_mh(ctx, prior, cfg, start: float, step_sd: float, seed: int):
     """(draws, log_kernel, accept_rate) of `run_mh`'s random walk with every
-    proposal scored by the exact kernel: the same seed, proposals and
-    acceptance rule, and no table."""
+    proposal scored by the exact kernel: the same seed, the same blocks of
+    MH_BLOCK proposal steps and then as many uniforms, and no table. Its
+    acceptance test is u < exp(min(0, k' - k)), not run_mh's bar."""
     x, k = start, log_sampling_kernel(ctx, prior, start)
     rng = np.random.default_rng(seed)
+    n_steps = cfg.burn_in + cfg.draws
+    dx, u = [], []
+    for first in range(0, n_steps, MH_BLOCK):
+        m = min(MH_BLOCK, n_steps - first)
+        dx += rng.normal(0.0, step_sd, m).tolist()
+        u += rng.random(m).tolist()
     draws, kernels = np.empty(cfg.draws), np.empty(cfg.draws)
     accepted = 0
-    for t in range(-cfg.burn_in, cfg.draws):
-        prop = x + rng.normal(0.0, step_sd)
+    for t, d, ut in zip(range(-cfg.burn_in, cfg.draws), dx, u):
+        prop = x + d
         kp = log_sampling_kernel(ctx, prior, prop)
-        if rng.random() < math.exp(min(0.0, kp - k)):
+        if ut < math.exp(min(0.0, kp - k)):
             x, k = prop, kp
             accepted += t >= 0
         if t >= 0:

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from transelect import likelihood
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.evidence import evidence_quadrature
-from transelect.likelihood import (PROPOSAL_SCALE, TABLE_CELLS_PER_STEP, TABLE_TOL,
-                                   KernelTable, LikelihoodContext, MhConfig, _fit,
-                                   log_sampling_kernel, run_mh)
+from transelect.likelihood import (MH_BLOCK, PROPOSAL_SCALE, TABLE_CELLS_PER_STEP,
+                                   TABLE_TOL, KernelTable, LikelihoodContext, MhConfig,
+                                   _fit, log_sampling_kernel, run_mh)
 from transelect.priors import (UnitInfoPrior, build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
-from transelect.quadrature import REAL_LIMIT
+from transelect.quadrature import REAL_LIMIT, sampling_integral
 from transelect.simulate import AnalysisConfig, ScenarioSpec, analyze_dataset, generate
 
 from _oracles import brute_force_log_evidence, exact_mh, make_data, mp_log_likelihood
@@ -296,8 +297,11 @@ class TestRunMh:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
         prior = UnitInfoPrior(Family.BOXCOX, location=0.0, scale=1.0)
         assert prior.log_density(40.0) - prior.log_density(0.0) < -745.0
-        chain = run_mh(_FlatLikelihood(), prior, MhConfig(burn_in=0, draws=1000),
-                       0.0, 1.0, seed=0)
+        with warnings.catch_warnings():
+            # log u is taken of the whole block: u = 0 must not warn
+            warnings.simplefilter("error", RuntimeWarning)
+            chain = run_mh(_FlatLikelihood(), prior, MhConfig(burn_in=0, draws=1000),
+                           0.0, 1.0, seed=0)
         assert chain.draws[0] == 40.0
         assert chain.log_kernel[0] == prior.log_density(40.0)
 
@@ -335,17 +339,20 @@ class _NanAboveOne:
 
 class _ScriptedRng:
     """A generator whose first normal deviates and uniforms are given; the
-    rest come from default_rng(0)."""
+    rest of each array it is asked for comes from default_rng(0)."""
 
     def __init__(self, normals, uniforms):
         self._normals, self._uniforms = list(normals), list(uniforms)
         self._rng = np.random.default_rng(0)
 
-    def normal(self, loc, scale):
-        return loc + self._normals.pop(0) if self._normals else self._rng.normal(loc, scale)
+    def normal(self, loc, scale, size):
+        head, self._normals = self._normals[:size], self._normals[size:]
+        return np.concatenate([loc + np.array(head, dtype=float),
+                               self._rng.normal(loc, scale, size - len(head))])
 
-    def random(self):
-        return self._uniforms.pop(0) if self._uniforms else self._rng.random()
+    def random(self, size):
+        head, self._uniforms = self._uniforms[:size], self._uniforms[size:]
+        return np.concatenate([head, self._rng.random(size - len(head))])
 
 
 class _NoCalls:
@@ -593,6 +600,54 @@ class TestKernelTable:
         assert chain.table_exact_share == 0.0
         assert chain.exact_steps > 0
         assert chain.exact_steps == sum(scalar) - 1  # the start
+
+
+class TestMhStream:
+    """run_mh's randomness: per block of MH_BLOCK steps, the proposal steps
+    and then the uniforms, from default_rng(seed)."""
+
+    def test_a_chain_across_a_block_boundary_equals_the_exact_kernel_chain(self):
+        family, ctx, prior, start, step_sd = _table_cases("gamma", "B")[0]
+        cfg = MhConfig(burn_in=0, draws=5000)  # blocks of 4096 and 904 steps
+        assert MH_BLOCK < cfg.draws < 2 * MH_BLOCK
+        chain = run_mh(ctx, prior, cfg, start, step_sd, seed=11)
+        draws, log_kernel, accept_rate = exact_mh(ctx, prior, cfg, start, step_sd, 11)
+        np.testing.assert_array_equal(chain.draws, draws)
+        assert chain.accept_rate == accept_rate
+        assert np.abs(chain.log_kernel - log_kernel).max() < 10 * TABLE_TOL
+
+    def test_the_first_step_reads_the_first_block(self, monkeypatch):
+        family, ctx, prior, start, step_sd = _table_cases("gamma", "B")[0]
+        calls = []
+
+        class Recording(KernelTable):
+            def __call__(self, x, bar=-math.inf):
+                calls.append((x, bar))
+                return super().__call__(x, bar)
+
+        monkeypatch.setattr(likelihood, "KernelTable", Recording)
+        run_mh(ctx, prior, MhConfig(burn_in=0, draws=5000), start, step_sd, seed=11)
+        rng = np.random.default_rng(11)
+        dx = rng.normal(0.0, step_sd, MH_BLOCK)
+        log_u = np.log(rng.random(MH_BLOCK))
+        assert calls[0] == (start + dx[0],
+                            log_sampling_kernel(ctx, prior, start) + log_u[0])
+
+
+class TestChainMeans:
+    @_ALL_TABLE_CASES
+    def test_each_chain_mean_is_its_grid_mean(self, dist, prior_kind):
+        # z = (chain mean - grid mean) / batch-means se, over 50 batches of
+        # a default chain. Proposals offset by 0.1 step_sd put every one of
+        # these chains' z between 4.7 and 7.9.
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+            kernel = functools.partial(log_sampling_kernel, ctx, prior)
+            grid = sampling_integral(kernel, family.on_log_scale, prior.window)
+            chain = run_mh(ctx, prior, MhConfig(), start, step_sd, seed=11)
+            batch_means = chain.draws.reshape(50, -1).mean(axis=1)
+            se = batch_means.std(ddof=1) / math.sqrt(50)
+            z = (chain.draws.mean() - grid.weights() @ grid.xs) / se
+            assert abs(z) < 4.0, (family, z)
 
 
 class TestPosteriorBands:

@@ -41,6 +41,17 @@ class TestLogIntegral:
         with pytest.raises(IntegrationFailure, match="window expansion did not converge"):
             sampling_integral(lambda x: np.zeros_like(x), False, (0.0, 1e-60))
 
+    def test_sum_that_never_settles_raises(self):
+        # a Gaussian envelope times 1 + 0.9 sin(1e6 x^2): the chirp aliases
+        # differently on every grid, so no halving brings the sum within ABS_TOL
+        def log_f(x):
+            return -0.5 * x ** 2 + np.log1p(0.9 * np.sin(1e6 * x ** 2))
+
+        with pytest.raises(IntegrationFailure,
+                           match=r"window \(-11\.0, 13\.0\) did not settle in 10 "
+                                 r"halvings: the last one moved it by"):
+            sampling_integral(log_f, False)
+
     def test_lower_boundary_mass_allowed_when_marked(self):
         # exp(-lambda) integrated on x = log(lambda) without the Jacobian: the
         # integrand tends to 1 as lambda -> 0, so mass sits at the lower limit.
