@@ -1,6 +1,6 @@
 """The six transformation families, their parameter domains, standardization and shifting.
 
-The transforms themselves are computed by `likelihood.LikelihoodContext.transform`.
+Transforms are computed by `likelihood.LikelihoodContext._scaled`, exposed by `transform`.
 """
 from __future__ import annotations
 
@@ -11,11 +11,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateData
-
-# Dual's lambda taken as 'no transformation' when the imaginary data give no
-# interior maximum.
-DUAL_ANCHOR_DEFAULT = 1.2
-
 
 class Family(Enum):
     ID = "id"

@@ -10,7 +10,6 @@ from scipy.special import gammaln
 
 from .errors import DegenerateTransform, MixingFailure, NonPositiveInput
 from .families import Family, PreparedData
-from .quadrature import _eval
 
 # Below this distance from a removable singularity the closed-form branch is used.
 _BRANCH_TOL = 1e-10
@@ -195,11 +194,10 @@ class LikelihoodContext:
         if not self.family.has_lambda:
             return np.full(lam.shape, self._fixed) if batch else self._fixed
         # A float costs a third to a half of a one-lambda block. It serves the
-        # Brent searches (refine_mode, the Dual anchor), the kernel at the
-        # quadrature grid's argmax, each chain's start, Chib's log k*,
-        # Laplace-Metropolis's kernel at the mode, and the proposals outside a
-        # KernelTable; under prior A, each kernel call also scores the power
-        # prior's imaginary data.
+        # Brent searches (refine_mode, the Dual anchor), each chain's start,
+        # Chib's log k*, Laplace-Metropolis's kernel at the mode, and the
+        # proposals outside a KernelTable; under prior A, each kernel call
+        # also scores the power prior's imaginary data.
         if not batch:
             return float(self._score(lam)) if self.family.in_domain(lam) else -math.inf
         out = np.full(lam.shape, -np.inf)
@@ -223,7 +221,7 @@ def log_sampling_kernel(ctx: LikelihoodContext, prior, x):
 PROPOSAL_SCALE = 2.38
 
 
-@dataclass
+@dataclass(frozen=True)
 class MhConfig:
     burn_in: int = 4000
     draws: int = 16000
@@ -289,8 +287,7 @@ def _fit(kernel, lo: float, h: float, size: int):
     err is its error at the cell's midpoint, where its leading error term is
     largest, and inf where one of those five values is not finite. One array
     call of the kernel gives all the values."""
-    f = _eval(kernel, lo + h * np.concatenate([np.arange(-1, size + 2),
-                                               np.arange(size) + 0.5]))
+    f = kernel(lo + h * np.concatenate([np.arange(-1, size + 2), np.arange(size) + 0.5]))
     f, mid = f[:size + 3], f[size + 3:]
     finite = np.isfinite(f)
     ok = finite[:-3] & finite[1:-2] & finite[2:-1] & finite[3:] & np.isfinite(mid)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import NonPositiveCurvature
-from .families import DUAL_ANCHOR_DEFAULT, Family, PreparedData, prepare
+from .families import Family, PreparedData, prepare
 from .likelihood import LikelihoodContext
 from .quadrature import sampling_integral
 
@@ -59,6 +59,11 @@ def make_imaginary(n_star: int = 100, source: str = "simulated",
     return ImaginaryData(prepared=prepare(values))
 
 
+# Dual's lambda taken as 'no transformation' when the imaginary data give no
+# interior maximum.
+DUAL_ANCHOR_DEFAULT = 1.2
+
+
 @dataclass(frozen=True)
 class DualAnchor:
     value: float
@@ -86,13 +91,11 @@ def _scov(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x - x.mean(), y - y.mean()) / (x.size - 1))
 
 
-def fisher_scale(family: Family, imaginary: ImaginaryData,
-                 anchor: DualAnchor | None = None) -> float:
+def fisher_scale(family: Family, imaginary: ImaginaryData, anchor: DualAnchor) -> float:
     """Unit-information prior sd: inverse root of the observed information of the
-    discounted imaginary-data log likelihood at the prior anchor."""
-    anchor_value = (anchor.value if anchor is not None
-                    else estimate_dual_anchor(imaginary).value) \
-        if family is Family.DUAL else 1.0
+    discounted imaginary-data log likelihood at lambda = 1, or at the Dual anchor
+    where `Family.on_log_scale`."""
+    anchor_value = anchor.value if family.on_log_scale else 1.0
     z, dz, d2z, jac2 = imaginary.context(family).transform_derivatives(anchor_value)
     n = imaginary.n_star
     sz2 = _svar(z)
@@ -160,10 +163,9 @@ def build_power_prior(family: Family, imaginary: ImaginaryData) -> PowerPrior:
 
 
 def build_unit_info_prior(family: Family, imaginary: ImaginaryData,
-                          anchor: DualAnchor | None = None) -> UnitInfoPrior:
-    """Prior B centred on 'no transformation': lambda = 1, or log of the Dual anchor."""
-    if family.on_log_scale and anchor is None:
-        anchor = estimate_dual_anchor(imaginary)
+                          anchor: DualAnchor) -> UnitInfoPrior:
+    """Prior B centred on 'no transformation': lambda = 1, or where
+    `Family.on_log_scale` the log of the setup's Dual anchor."""
     location = math.log(anchor.value) if family.on_log_scale else 1.0
     return UnitInfoPrior(family=family, location=location,
                          scale=fisher_scale(family, imaginary, anchor))

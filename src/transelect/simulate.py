@@ -78,8 +78,10 @@ def _family(entry) -> Family:
         raise ValueError(f"unknown family: {entry}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
+    """Frozen once its checks pass: `dataclasses.replace` varies it and checks again."""
+
     mh: MhConfig = field(default_factory=MhConfig)
     chib_draws: int = 2000
     n_star: int | None = None              # None: match the observed sample size
@@ -89,7 +91,8 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.families = tuple(_family(f) for f in self.families)
+        object.__setattr__(self, "families", tuple(_family(f) for f in self.families))
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.families:
             raise ValueError("at least one family required")
         if not self.methods:

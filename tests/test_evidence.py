@@ -143,7 +143,9 @@ class TestChib:
         # Every draw sits 100 proposal sds above the mode, so each term of
         # Chib's numerator carries a proposal density of about exp(-5000): 0.0.
         data = _normal_dataset()
-        prior = build_unit_info_prior(Family.BOXCOX, make_imaginary(n_star=100, seed=1))
+        imaginary = make_imaginary(n_star=100, seed=1)
+        prior = build_unit_info_prior(Family.BOXCOX, imaginary,
+                                      anchor=estimate_dual_anchor(imaginary))
         ctx = LikelihoodContext(Family.BOXCOX, data)
         mode = evidence_quadrature(ctx, prior).diagnostics["x_mode"]
         step_sd = 0.05
@@ -182,7 +184,8 @@ class TestQuadrature:
         imaginary = make_imaginary(n_star=100, seed=2)
         ctx = LikelihoodContext(Family.BOXCOX, data)
         ev_a = evidence_quadrature(ctx, build_power_prior(Family.BOXCOX, imaginary))
-        ev_b = evidence_quadrature(ctx, build_unit_info_prior(Family.BOXCOX, imaginary))
+        ev_b = evidence_quadrature(ctx, build_unit_info_prior(
+            Family.BOXCOX, imaginary, anchor=estimate_dual_anchor(imaginary)))
         assert abs(ev_a.log_marginal - ev_b.log_marginal) < 0.5
 
     def test_prior_b_kernel_consistency(self):
@@ -264,7 +267,8 @@ class TestEstimateMetadata:
     def test_methods_recorded(self):
         data = _normal_dataset(seed=2)
         imaginary = make_imaginary(n_star=100, seed=2)
-        prior = build_unit_info_prior(Family.MODULUS, imaginary)
+        prior = build_unit_info_prior(Family.MODULUS, imaginary,
+                                      anchor=estimate_dual_anchor(imaginary))
         ctx = LikelihoodContext(Family.MODULUS, data)
         chain = grid_seeded_mh(ctx, prior, MhConfig(burn_in=500, draws=4000), seed=2)
         assert evidence_chib(ctx, prior, chain, J=500).method == CHIB

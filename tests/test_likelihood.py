@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -208,6 +209,13 @@ class TestMhConfig:
         with pytest.raises(ValueError, match="burn_in"):
             MhConfig(burn_in=-5)
         assert MhConfig(burn_in=0).burn_in == 0
+
+    def test_frozen_after_its_checks(self):
+        cfg = AnalysisConfig().mh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.draws = 10
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, draws=10)
 
 
 class TestRunMh:
@@ -555,6 +563,25 @@ class TestKernelTable:
         assert table.exact_steps == 1 and kernel.calls[-1] == 0
         _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel.kernel)
         assert table.exact_steps == 2
+
+    def test_fit_treats_every_non_finite_value_alike(self):
+        # NaN and +inf nodes or midpoints fit as -inf ones do: their cells
+        # get an infinite check error, and no value warns.
+        def kernel(x, bad):
+            v = -0.5 * np.square(x)
+            v[(x > 0.3) & (x < 0.5)] = bad[0]
+            v[(x > 1.1) & (x < 1.2)] = bad[1]
+            v[x > 2.0] = bad[2]
+            return v
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = _fit(functools.partial(kernel, bad=(math.nan, math.inf, -math.inf)),
+                         -1.0, 0.05, 80)
+            minus = _fit(functools.partial(kernel, bad=(-math.inf,) * 3), -1.0, 0.05, 80)
+        for got, want in zip(mixed, minus):
+            np.testing.assert_array_equal(got, want)
+        assert np.isinf(mixed[1]).sum() > 0 and np.isfinite(mixed[1]).sum() > 0
 
     def test_dual_power_prior_scores_some_cells_exactly(self):
         family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]

@@ -164,20 +164,23 @@ class TestFisherScale:
                 assert abs(closed - approx) / approx < 1e-4, (family, seed)
 
     def test_deterministic_function_of_inputs(self):
-        a = fisher_scale(Family.MODULUS, make_imaginary(n_star=100, seed=3))
-        b = fisher_scale(Family.MODULUS, make_imaginary(n_star=100, seed=3))
+        a, b = (fisher_scale(Family.MODULUS, img, anchor=estimate_dual_anchor(img))
+                for img in (make_imaginary(n_star=100, seed=3),
+                            make_imaginary(n_star=100, seed=3)))
         assert a == b
 
     def test_order_one_across_n_star(self):
         for family in (Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON):
-            scales = [fisher_scale(family, make_imaginary(n_star=ns, seed=8))
-                      for ns in (50, 100, 1000)]
+            imgs = [make_imaginary(n_star=ns, seed=8) for ns in (50, 100, 1000)]
+            scales = [fisher_scale(family, img, anchor=estimate_dual_anchor(img))
+                      for img in imgs]
             assert max(scales) / min(scales) < 3.0, family
 
-    def test_dual_without_anchor_estimates_it(self):
+    def test_dual_without_anchor_raises(self):
+        # The anchor is part of the analysis's setup: no builder searches for it.
         img = make_imaginary(n_star=100, seed=5)
-        assert fisher_scale(Family.DUAL, img) == fisher_scale(
-            Family.DUAL, img, anchor=estimate_dual_anchor(img))
+        with pytest.raises(TypeError):
+            fisher_scale(Family.DUAL, img)
 
     def test_nonpositive_curvature_raises(self):
         # A Dual anchor far below the likelihood mode sits in a convex region
@@ -230,16 +233,16 @@ class TestBuildUnitInfoPrior:
         img = make_imaginary(n_star=1000, seed=1)
         anchor = estimate_dual_anchor(img)
         for family in (Family.BOXCOX, Family.MODULUS, Family.YEOJOHNSON):
-            prior = build_unit_info_prior(family, img)
+            prior = build_unit_info_prior(family, img, anchor=anchor)
             assert prior.location == 1.0 and not prior.family.on_log_scale
         dual = build_unit_info_prior(Family.DUAL, img, anchor=anchor)
         assert dual.family.on_log_scale
         assert abs(dual.location - math.log(anchor.value)) < 1e-12
 
-    def test_dual_without_anchor_estimates_it(self):
+    def test_dual_without_anchor_raises(self):
         img = make_imaginary(n_star=100, seed=5)
-        assert build_unit_info_prior(Family.DUAL, img) == build_unit_info_prior(
-            Family.DUAL, img, anchor=estimate_dual_anchor(img))
+        with pytest.raises(TypeError):
+            build_unit_info_prior(Family.DUAL, img)
 
     def test_shared_imaginary_across_families(self):
         img = make_imaginary(n_star=100, seed=6)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,23 @@ class TestAnalysisConfig:
             AnalysisConfig(families=())
         with pytest.raises(ValueError):
             AnalysisConfig(methods=())
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnalysisConfig)])
+    def test_frozen_after_its_checks(self, name):
+        cfg = AnalysisConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    def test_replace_checks_again(self):
+        cfg = AnalysisConfig()
+        with pytest.raises(ValueError, match="at least one evidence method"):
+            dataclasses.replace(cfg, methods=())
+        with pytest.raises(ValueError, match="unknown family: bogus"):
+            dataclasses.replace(cfg, families=("bogus",))
+        assert dataclasses.replace(cfg, families=("boxcox",)).families == (Family.BOXCOX,)
+
+    def test_methods_are_a_tuple(self):
+        assert AnalysisConfig(methods=["quadrature"]).methods == ("quadrature",)
 
     def test_prob_method_falls_back_to_available(self):
         cfg = AnalysisConfig(methods=("quadrature",))
