@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its rule for integer fields."""
+import numpy as np
+
+
+def check_integers(**fields) -> None:
+    """Raise ValueError unless every field is an int or numpy int >= 0 (not a bool)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class TranselectError(Exception):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateTransform, MixingFailure, NonPositiveInput
+from .errors import DegenerateTransform, MixingFailure, NonPositiveInput, check_integers
 from .families import Family, PreparedData
 
 # Below this distance from a removable singularity the closed-form branch is used.
@@ -227,8 +227,7 @@ class MhConfig:
     draws: int = 16000
 
     def __post_init__(self) -> None:
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
+        check_integers(burn_in=self.burn_in, draws=self.draws)
         if self.draws < 1000:
             raise ValueError("draws must be at least 1000")
 
@@ -267,35 +266,39 @@ TABLE_HALF_WIDTH = 5
 TABLE_CELLS_PER_STEP = 150
 TABLE_TOL = 1e-9
 
-# A finite cell that misses TABLE_TOL keeps its cubic, whose error anywhere in
-# the cell is taken to be at most B = REJECT_ERROR_FACTOR x its check error +
+# A cell that misses TABLE_TOL keeps its cubic, whose error anywhere in the
+# cell is taken to be at most B = REJECT_ERROR_FACTOR x its check error +
 # REJECT_SLACK nats: at 15 interior points of 6,472 such cells of gamma and
 # student data (n = 100 and 1000, both priors) the error reached 1.07 x the
-# check error, and tests/test_likelihood.py holds it within B / 2.
+# check error, and tests/test_likelihood.py holds it within B / 2. A cell
+# that touches a non-finite value has an infinite check error, so B = inf.
 REJECT_ERROR_FACTOR = 4.0
 REJECT_SLACK = 1e-3
 # The cubic's error goes as h^4, so a cell with check error e splits into the
-# power of two r >= 1.25 (e / TABLE_TOL)^(1/4) of sub-cells, unless r would
-# exceed MAX_SPLIT.
+# power of two r >= 1.25 (e / TABLE_TOL)^(1/4) of sub-cells, or MAX_SPLIT
+# where that is fewer.
 MAX_SPLIT = 8
 
 
-def _fit(kernel, lo: float, h: float, size: int):
-    """(coef, err) for `size` cells of width h from lo. coef holds each cell's
-    cubic in t = (x - left end) / h, which interpolates the kernel at the
-    cell's two ends and the nodes either side of them (four-point Lagrange).
-    err is its error at the cell's midpoint, where its leading error term is
-    largest, and inf where one of those five values is not finite. One array
-    call of the kernel gives all the values."""
-    f = kernel(lo + h * np.concatenate([np.arange(-1, size + 2), np.arange(size) + 0.5]))
-    f, mid = f[:size + 3], f[size + 3:]
+def _fit(kernel, lo: float, h: float, size: int, i: int = 0, r: int = 1):
+    """(coef, err) for `size` cells of width h / r from lo + h i: a table's
+    grid of cells of width h from lo, or (size = r) the split of its cell i.
+    coef holds each cell's cubic in t, which interpolates the kernel at t =
+    0, 1 and the nodes either side (four-point Lagrange). err is its error at
+    the midpoint x, where its leading error term is largest, read at t from
+    (x - lo) / h as a table reads it; inf where one of those five values is
+    not finite. One array call of the kernel gives all the values."""
+    x = lo + h * i + h / r * np.concatenate([np.arange(-1, size + 2),
+                                             np.arange(size) + 0.5])
+    f, mid = np.split(kernel(x), [size + 3])
     finite = np.isfinite(f)
     ok = finite[:-3] & finite[1:-2] & finite[2:-1] & finite[3:] & np.isfinite(mid)
     f = np.where(finite, f, 0.0)
     fm, f0, f1, f2 = f[:-3], f[1:-2], f[2:-1], f[3:]
     coef = np.column_stack([f0, f1 - f0 / 2.0 - fm / 3.0 - f2 / 6.0,
                             (fm + f1) / 2.0 - f0, (f2 - fm) / 6.0 + (f0 - f1) / 2.0])
-    err = np.abs(coef @ [1.0, 0.5, 0.25, 0.125] - np.where(ok, mid, 0.0))
+    t = ((x[size + 3:] - lo) / h - i) * r - np.arange(size)
+    err = np.abs(_cubic(coef.T, t) - np.where(ok, mid, 0.0))
     return coef, np.where(ok, err, np.inf)
 
 
@@ -304,18 +307,8 @@ def _cubic(c, t: float) -> float:
 
 
 def _cells(coef, err):
-    """(cells, bounded) from `_fit`. cells[i] is cell i's coefficients where
-    its cubic meets TABLE_TOL, else None. bounded maps each finite cell that
-    misses it to [coefficients, bound B, split factor r or, once split, the
-    sub-cells' cells], with r None where it would exceed MAX_SPLIT."""
-    cells, bounded = [], {}
-    for i, (c, e) in enumerate(zip(coef.tolist(), err.tolist())):
-        cells.append(c if e <= TABLE_TOL else None)
-        if TABLE_TOL < e < math.inf:
-            r = 2 ** math.ceil(math.log2(1.25 * (e / TABLE_TOL) ** 0.25))
-            bounded[i] = [c, REJECT_ERROR_FACTOR * e + REJECT_SLACK,
-                          r if r <= MAX_SPLIT else None]
-    return cells, bounded
+    """Each cell's coefficients from `_fit` where they meet TABLE_TOL, else None."""
+    return [c if e <= TABLE_TOL else None for c, e in zip(coef.tolist(), err.tolist())]
 
 
 class KernelTable:
@@ -325,13 +318,12 @@ class KernelTable:
     the cubic of x's cell where it meets TABLE_TOL, and also where the cubic
     plus the cell's bound B is below `bar`: MH accepts a proposal exactly
     when its kernel is above the bar k + log u, so it rejects this one
-    whatever its exact value. A cell that can do neither is split on first
-    use into r sub-cells, which one more array call fits and checks, and x
-    is read from its sub-cell's cubic where that meets TABLE_TOL. The exact
-    kernel scores the rest: a sub-cell that misses TABLE_TOL, a cell whose r
-    exceeds MAX_SPLIT or that touches a non-finite value, and every x
-    outside the table. So every value the table returns at or above the bar
-    is exact or TABLE_TOL-checked. `exact_steps` counts the exact calls.
+    whatever its exact value. Every other cell is split on first use into r
+    sub-cells, which one more array call fits and checks, and x is read from
+    its sub-cell's cubic where that meets TABLE_TOL. The exact kernel scores
+    the rest: a sub-cell that misses TABLE_TOL, and every x outside the
+    table. So every value the table returns at or above the bar is exact or
+    TABLE_TOL-checked. `exact_steps` counts the exact calls.
     """
 
     def __init__(self, kernel, start: float, step_sd: float):
@@ -341,8 +333,15 @@ class KernelTable:
         self.lo = start - half * self.h
         self.size = 2 * half
         coef, err = _fit(kernel, self.lo, self.h, self.size)
-        self.cells, self.bounded = _cells(coef, err)
+        self.cells = _cells(coef, err)
         kept = err <= TABLE_TOL
+        # each failing cell's (coefficients, bound B, split factor r), and its
+        # sub-cells once split; capping e / TABLE_TOL gives e = inf a log
+        self.bounded, self.splits = {}, {}
+        for i, e in zip(np.flatnonzero(~kept).tolist(), err[~kept].tolist()):
+            r = 2 ** math.ceil(math.log2(1.25 * min(e / TABLE_TOL, 1e12) ** 0.25))
+            self.bounded[i] = (coef[i].tolist(), REJECT_ERROR_FACTOR * e + REJECT_SLACK,
+                               min(r, MAX_SPLIT))
         # of the grid's own cells: splits do not change them
         self.exact_share = 1.0 - float(kept.mean())
         self.max_error = float(err[kept].max(initial=0.0))
@@ -363,20 +362,15 @@ class KernelTable:
 
     def _bounded(self, i: int, t: float, bar: float):
         """At t in failing grid cell i: the cubic where it rejects, else t's
-        sub-cell's where that meets TABLE_TOL, else None (the exact kernel)."""
-        b = self.bounded.get(i)
-        if b is None:
-            return None
-        c, bound, split = b
+        sub-cell's, or None (the exact kernel) where that misses TABLE_TOL."""
+        c, bound, r = self.bounded[i]
         v = _cubic(c, t)
         if v + bound < bar:
             return v
-        if type(split) is int:
-            split = b[2] = _cells(*_fit(self.kernel, self.lo + self.h * i,
-                                        self.h / split, split))[0]
+        split = self.splits.get(i)
         if split is None:
-            return None
-        t *= len(split)  # exact: the number of sub-cells is a power of two
+            split = self.splits[i] = _cells(*_fit(self.kernel, self.lo, self.h, r, i, r))
+        t *= r  # exact: r is a power of two
         j = int(t)
         return None if split[j] is None else _cubic(split[j], t - j)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateData, TranselectError
+from .errors import DegenerateData, TranselectError, check_integers
 from .evidence import (CHIB, LAPLACE_METROPOLIS, MIN_CHIB_DRAWS, QUADRATURE,
                        FamilyResult, SelectionReport, evidence_chib,
                        evidence_closed_form, evidence_laplace_metropolis,
@@ -22,11 +22,6 @@ PRIOR_KINDS = ("A", "B")
 SCENARIO_PARAMS = ("mu", "sigma", "shape", "rate", "df", "ncp")
 
 log = logging.getLogger(__name__)
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -50,9 +45,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.distribution not in ("normal", "gamma", "student"):
             raise ValueError(f"unknown distribution: {self.distribution}")
+        check_integers(n=self.n, seed=self.seed)
         if self.n < 3:
             raise ValueError("n must be at least 3")
-        _check_seed(self.seed)
         params = {k: getattr(self, k) for k in SCENARIO_PARAMS}
         if not all(math.isfinite(v) for v in params.values()):
             raise ValueError(f"distribution parameters must be finite, got {params}")
@@ -97,15 +92,17 @@ class AnalysisConfig:
             raise ValueError("at least one family required")
         if not self.methods:
             raise ValueError("at least one evidence method required")
-        _check_seed(self.seed)
+        check_integers(chib_draws=self.chib_draws, seed=self.seed)
         if self.imaginary_source not in IMAGINARY_SOURCES:
             raise ValueError(f"unknown imaginary-data source {self.imaginary_source!r}; "
                              f"choose from {list(IMAGINARY_SOURCES)}")
-        if self.n_star is not None and self.imaginary_source == "empirical":
-            raise ValueError("n_star does not apply to empirical imaginary data, "
-                             "which are the observed data")
-        if self.n_star is not None and self.n_star < MIN_N_STAR:
-            raise ValueError(f"n_star must be at least {MIN_N_STAR}, got {self.n_star}")
+        if self.n_star is not None:
+            if self.imaginary_source == "empirical":
+                raise ValueError("n_star does not apply to empirical imaginary data, "
+                                 "which are the observed data")
+            check_integers(n_star=self.n_star)
+            if self.n_star < MIN_N_STAR:
+                raise ValueError(f"n_star must be at least {MIN_N_STAR}, got {self.n_star}")
         if self.chib_draws < MIN_CHIB_DRAWS:
             raise ValueError(f"chib_draws must be at least {MIN_CHIB_DRAWS}, "
                              f"got {self.chib_draws}")
@@ -239,13 +236,13 @@ class SweepSpec:
         bad = [p for p in self.points if not (math.isfinite(p) and p > 0)]
         if bad:
             raise ValueError(f"sweep axis points must be finite and positive, got {bad}")
+        check_integers(n=self.n, replications=self.replications, seed=self.seed)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.n < 3:
             raise ValueError("n must be at least 3")
         if self.prior_kind not in PRIOR_KINDS:
             raise ValueError(f"prior_kind must be 'A' or 'B', got {self.prior_kind}")
-        _check_seed(self.seed)
 
 
 def _sweep_scenario(sweep: SweepSpec, point, seed: int) -> ScenarioSpec:

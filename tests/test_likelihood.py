@@ -12,9 +12,10 @@ from transelect import likelihood
 from transelect.errors import DegenerateTransform, MixingFailure
 from transelect.families import ALL_FAMILIES, PARAMETRIC_FAMILIES, Family, prepare
 from transelect.evidence import evidence_quadrature
-from transelect.likelihood import (MH_BLOCK, PROPOSAL_SCALE, TABLE_CELLS_PER_STEP,
-                                   TABLE_TOL, KernelTable, LikelihoodContext, MhConfig,
-                                   _fit, log_sampling_kernel, run_mh)
+from transelect.likelihood import (MAX_SPLIT, MH_BLOCK, PROPOSAL_SCALE,
+                                   TABLE_CELLS_PER_STEP, TABLE_TOL, KernelTable,
+                                   LikelihoodContext, MhConfig, _fit, log_sampling_kernel,
+                                   run_mh)
 from transelect.priors import (UnitInfoPrior, build_power_prior, build_unit_info_prior,
                                estimate_dual_anchor, make_imaginary)
 from transelect.quadrature import REAL_LIMIT, sampling_integral
@@ -209,6 +210,14 @@ class TestMhConfig:
         with pytest.raises(ValueError, match="burn_in"):
             MhConfig(burn_in=-5)
         assert MhConfig(burn_in=0).burn_in == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("draws", 1000.5), ("draws", 2000.0), ("draws", "2000"), ("burn_in", 10.5),
+        ("burn_in", True)])
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            MhConfig(**{field: value})
+        assert getattr(MhConfig(**{field: np.int64(2000)}), field) == 2000
 
     def test_frozen_after_its_checks(self):
         cfg = AnalysisConfig().mh
@@ -425,23 +434,30 @@ def _cubic(c, t):
 
 
 def _split_all(table):
-    """Split every cell of `table` that may split, through calls at the
-    cells' midpoints that cannot reject; (left end, width, sub-cells) per
-    split cell."""
+    """Split every cell of `table` that misses TABLE_TOL, through calls at the
+    cells' midpoints that cannot reject; (grid cell, left end, width,
+    sub-cells) per split cell."""
     out = []
-    for i, b in sorted(table.bounded.items()):
-        if b[2] is None:
-            continue
+    for i in sorted(table.bounded):
         left = table.lo + table.h * i
         table(left + 0.5 * table.h)
-        out.append((left, table.h / len(b[2]), b[2]))
+        cells = table.splits[i]
+        assert len(cells) == table.bounded[i][2]
+        out.append((i, left, table.h / len(cells), cells))
     return out
+
+
+def _capped_cells(table, kernel):
+    """The cells of `table` whose check error would need more than MAX_SPLIT
+    sub-cells."""
+    err = _fit(kernel, table.lo, table.h, table.size)[1]
+    return np.flatnonzero(1.25 * (err / TABLE_TOL) ** 0.25 > MAX_SPLIT).tolist()
 
 
 def _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel):
     """Each sub-cell of every split is a cubic within TABLE_TOL of the kernel
     at its midpoint, or misses TABLE_TOL and is scored by one exact call."""
-    for left, h, cells in _split_all(table):
+    for i, left, h, cells in _split_all(table):
         for j, c in enumerate(cells):
             x = left + h * (j + 0.5)
             if c is not None:
@@ -450,7 +466,8 @@ def _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel):
                 steps = table.exact_steps
                 assert table(x, -math.inf) == kernel(x)
                 assert table.exact_steps == steps + 1
-                assert _fit(kernel, left, h, len(cells))[1][j] > TABLE_TOL
+                r = len(cells)
+                assert _fit(kernel, table.lo, table.h, r, i, r)[1][j] > TABLE_TOL
 
 
 class TestKernelTable:
@@ -489,12 +506,30 @@ class TestKernelTable:
             # and so do the sub-cells that splits keep, which leave the
             # grid's own figures as they were
             share, max_error = table.exact_share, table.max_error
-            for left, h, cells in _split_all(table):
+            for _, left, h, cells in _split_all(table):
                 kept = np.flatnonzero([c is not None for c in cells])
                 mids = left + h * (kept + 0.5)
                 err = np.abs([table(x) for x in mids] - kernel(mids))
                 assert err.max(initial=0.0) <= TABLE_TOL + 1e-12, family
             assert (table.exact_share, table.max_error) == (share, max_error)
+
+    @_ALL_TABLE_CASES
+    def test_check_error_is_the_error_of_the_value_read(self, dist, prior_kind):
+        # `_fit` reads each cubic at its check point as the table reads it, so
+        # the check error is, to the bit, the error of what the table returns
+        # there: in the grid's kept cells and in every split's kept sub-cells.
+        for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
+            kernel = functools.partial(log_sampling_kernel, ctx, prior)
+            table = KernelTable(kernel, start, step_sd)
+            grids = [(table.lo, table.h, _fit(kernel, table.lo, table.h, table.size)[1])]
+            for i, (_, _, r) in table.bounded.items():
+                grids.append((table.lo + table.h * i, table.h / r,
+                              _fit(kernel, table.lo, table.h, r, i, r)[1]))
+            for left, h, err in grids:
+                kept = np.flatnonzero(err <= TABLE_TOL)
+                mids = left + h * (kept + 0.5)
+                got = np.abs([table(x, -math.inf) for x in mids] - kernel(mids))
+                np.testing.assert_array_equal(got, err[kept], err_msg=family.value)
 
     @_ALL_TABLE_CASES
     def test_bounded_cells_hold_half_their_bound_inside(self, dist, prior_kind):
@@ -513,24 +548,25 @@ class TestKernelTable:
         kernel = _Counted(functools.partial(log_sampling_kernel, ctx, prior))
         table = KernelTable(kernel, start, step_sd)
         assert kernel.calls == [2 * table.size + 3]
-        splittable = [i for i, b in table.bounded.items() if b[2] is not None]
-        exact = [i for i, b in table.bounded.items() if b[2] is None]
-        assert splittable and exact
-        for i in splittable[::5] + exact[::20]:
+        failing = sorted(table.bounded)
+        # some of them would need more than MAX_SPLIT sub-cells
+        capped = _capped_cells(table, kernel.kernel)
+        assert failing and capped
+        for i in failing[::5] + capped[::20]:
             c, bound, r = table.bounded[i]
             x, v = table.lo + table.h * (i + 0.3), _cubic(c, 0.3)
             assert table(x, v + bound + 1e-3) == pytest.approx(v, rel=1e-12, abs=1e-9)
-            assert table.bounded[i][2] == r, "a rejection splits nothing"
+        assert not table.splits, "a rejection splits nothing"
         assert len(kernel.calls) == 1 and table.exact_steps == 0
-        # a bar at or below cubic + B takes no shortcut: the cell is split or
-        # scored exactly, and with a bar of -inf nothing can reject
-        for k, i in enumerate(splittable[:4] + exact[:4]):
-            c, bound, _ = table.bounded[i]
+        # a bar at or below cubic + B takes no shortcut: the cell is split by
+        # one array call, and with a bar of -inf nothing can reject
+        for k, i in enumerate([i for i in failing if i not in capped][:4] + capped[:4]):
+            c, bound, r = table.bounded[i]
             x, v = table.lo + table.h * (i + 0.3), _cubic(c, 0.3)
             del kernel.calls[:]
             got = table(x, -math.inf if k % 2 else v + bound / 2.0)
-            assert kernel.calls, i
-            if k % 2 or i in exact:
+            assert kernel.calls[0] == 2 * r + 3 and len(table.splits[i]) == r, i
+            if k % 2:
                 assert abs(got - kernel.kernel(x)) <= TABLE_TOL, i
 
     @_ALL_TABLE_CASES
@@ -538,11 +574,12 @@ class TestKernelTable:
         for family, ctx, prior, start, step_sd in _table_cases(dist, prior_kind):
             kernel = _Counted(functools.partial(log_sampling_kernel, ctx, prior))
             table = KernelTable(kernel, start, step_sd)
-            i = next((i for i, b in table.bounded.items() if b[2] is not None), None)
+            i = min(table.bounded, default=None)
             if i is not None:  # one array call per split
                 del kernel.calls[:]
                 table(table.lo + table.h * (i + 0.5))
-                r = len(table.bounded[i][2])
+                r = len(table.splits[i])
+                assert r == table.bounded[i][2]
                 assert kernel.calls[0] == 2 * r + 3 and max(kernel.calls[1:], default=0) == 0
             _assert_split_cells_meet_the_tolerance_or_are_exact(table, kernel.kernel)
 
@@ -557,7 +594,7 @@ class TestKernelTable:
         i = int((x0 - table.lo) / table.h)
         assert table.bounded[i][2] == 4
         assert table(x0, -math.inf) == kernel.kernel(x0)
-        cells = table.bounded[i][2]
+        cells = table.splits[i]
         j = int((x0 - table.lo - table.h * i) / (table.h / 4))
         assert cells[j] is None and sum(c is None for c in cells) == 1
         assert table.exact_steps == 1 and kernel.calls[-1] == 0
@@ -590,16 +627,72 @@ class TestKernelTable:
         table = KernelTable(kernel, start, step_sd)
         missed = [i for i, c in enumerate(table.cells) if c is None]
         assert 0.0 < table.exact_share < 1.0 and table.exact_share == len(missed) / table.size
-        # cells whose error would need more than MAX_SPLIT sub-cells stay exact
-        exact = [i for i in missed if table.bounded.get(i, (0, 0, None))[2] is None]
-        assert exact
-        for i in exact[:: max(1, len(exact) // 20)]:
-            x = table.lo + table.h * (i + 0.5)
-            assert table(x) == kernel(x)
-        # and so does every x outside the table
+        assert sorted(table.bounded) == missed
+        # cells whose error would need more than MAX_SPLIT sub-cells split into
+        # MAX_SPLIT, and exactly their sub-cells that miss TABLE_TOL are exact
+        capped = _capped_cells(table, kernel)
+        assert capped
+        exact, sub = 0, table.h / MAX_SPLIT
+        for i in capped[:: max(1, len(capped) // 20)]:
+            left = table.lo + table.h * i
+            table(left + 0.5 * table.h)
+            assert table.bounded[i][2] == MAX_SPLIT == len(table.splits[i])
+            missing = _fit(kernel, table.lo, table.h, MAX_SPLIT, i, MAX_SPLIT)[1] > TABLE_TOL
+            assert [c is None for c in table.splits[i]] == missing.tolist(), i
+            exact += int(missing.sum())
+            steps = table.exact_steps
+            for j, miss in enumerate(missing.tolist()):
+                x = left + sub * (j + 0.5)
+                if miss:
+                    assert table(x) == kernel(x)
+                else:
+                    assert abs(table(x) - kernel(x)) <= TABLE_TOL + 1e-12
+            assert table.exact_steps == steps + int(missing.sum())
+        assert exact > 0
+        # and every x outside the table is exact
+        steps = table.exact_steps
         for x in (table.lo - table.h, table.lo + table.h * (table.size + 1)):
             assert table(x) == kernel(x)
-        assert table.exact_steps == len(exact[:: max(1, len(exact) // 20)]) + 2
+        assert table.exact_steps == steps + 2
+
+    def test_a_cell_that_touches_a_non_finite_value_splits_and_never_rejects(self):
+        # A standard normal kernel that is -inf on a stretch about the
+        # midpoint of one grid cell of a table of step 1: no cubic of that
+        # cell can bound the kernel, so it splits into MAX_SPLIT sub-cells.
+        # The four that touch the stretch are scored exactly; the others keep
+        # their cubics, which fit a quadratic to within rounding.
+        h = 1.0 / TABLE_CELLS_PER_STEP
+        left = 7 * h
+        lo, hi = left + 0.4 * h, left + 0.6 * h
+
+        def kernel(x):
+            v = np.where((x > lo) & (x < hi), -np.inf, -0.5 * np.square(x))
+            return v if v.ndim else float(v)
+
+        counted = _Counted(kernel)
+        table = KernelTable(counted, 0.0, 1.0)
+        i = round((left - table.lo) / table.h)
+        assert sorted(table.bounded) == [i]
+        c, bound, r = table.bounded[i]
+        assert bound == math.inf and r == MAX_SPLIT
+        # not even a bar far above the cubic rejects through it
+        x = left + 0.1 * table.h
+        got = table(x, 1e300)
+        assert got != _cubic(c, 0.1) and abs(got - kernel(x)) <= TABLE_TOL
+        assert counted.calls[1:] == [2 * MAX_SPLIT + 3] and not table.exact_steps
+        sub = table.h / MAX_SPLIT
+        exact = [j for j, s in enumerate(table.splits[i]) if s is None]
+        assert len(table.splits[i]) == MAX_SPLIT and exact == [2, 3, 4, 5]
+        for j in range(MAX_SPLIT):
+            for t in (0.1, 0.5, 0.9):
+                x = table.lo + table.h * i + sub * (j + t)
+                steps = table.exact_steps
+                got = table(x)
+                if j in exact:
+                    assert got == kernel(x) and table.exact_steps == steps + 1
+                else:
+                    assert abs(got - kernel(x)) <= TABLE_TOL
+                    assert table.exact_steps == steps
 
     def test_chain_records_its_table(self):
         family, ctx, prior, start, step_sd = _table_cases("gamma", "A")[-1]

@@ -41,6 +41,13 @@ class TestScenarioSpec:
             ScenarioSpec("normal", 50, **{param: value})
 
 
+    @pytest.mark.parametrize("value", [50.5, 50.0, np.float64(50.0), True, "50"])
+    def test_n_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            ScenarioSpec("normal", value)
+        assert ScenarioSpec("normal", np.int64(50)).n == 50
+
+
 _SPECS = {
     "scenario": lambda seed: ScenarioSpec("normal", 50, seed=seed),
     "analysis": lambda seed: AnalysisConfig(seed=seed),
@@ -134,6 +141,14 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError, match="chib_draws must be at least 500"):
             AnalysisConfig(chib_draws=100)
         assert AnalysisConfig(chib_draws=500).chib_draws == 500
+
+    @pytest.mark.parametrize("field, value", [
+        ("chib_draws", 600.5), ("chib_draws", 600.0), ("chib_draws", True),
+        ("n_star", 20.5), ("n_star", np.float64(20.0)), ("n_star", "20")])
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            AnalysisConfig(**{field: value})
+        assert getattr(AnalysisConfig(**{field: np.int64(600)}), field) == 600
 
     def test_n_star_with_empirical_imaginary_data_rejected(self):
         with pytest.raises(ValueError, match="n_star does not apply"):
@@ -426,6 +441,15 @@ class TestRunSweep:
             SweepSpec(axis="student_df", points=(2.0,), n=2)
         with pytest.raises(ValueError, match="prior_kind"):
             SweepSpec(axis="student_df", points=(2.0,), prior_kind="C")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 30.5), ("n", 30.0), ("replications", 1.5), ("replications", True),
+        ("replications", np.float64(2.0))])
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            SweepSpec(axis="student_df", points=(2.0,), **{field: value})
+        spec = SweepSpec(axis="student_df", points=(2.0,), **{field: np.int64(30)})
+        assert getattr(spec, field) == 30
 
     def test_too_small_n_for_the_imaginary_data_refused_before_running(self, monkeypatch):
         def no_run(*args, **kwargs):
